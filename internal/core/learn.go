@@ -71,30 +71,30 @@ func gatedFlipSites(net *nn.Network) map[int]bool {
 // or when the loss plateaus. epochCb, when non-nil, is called once per
 // epoch and may stop the fit by returning false.
 //
-// Only the soft flip coefficients train, so the network is split at the
-// earliest softened flip site (nn.Slice): the frozen prefix is evaluated
-// exactly once for the whole query set, and every minibatch of every epoch
+// net is a CloneForKeys clone, so its weights are frozen views: the
+// training passes skip all weight-gradient work, write into buffers the
+// clone's layers own, and die with the clone. Only the soft flip
+// coefficients train, so the network is also split at the earliest
+// softened flip site (nn.Slice): the frozen prefix is evaluated exactly
+// once for the whole query set, and every minibatch of every epoch
 // shuffles and gathers rows of that activation cache instead of re-running
 // the prefix forward and backward. Backpropagation stops at the slice
 // boundary. The sliced fit is numerically identical to the unsliced one
 // (cfg.DisableSlicing, kept for the ablation and the equivalence property
-// tests): prefix activations are batch-independent per row, no trainable
-// parameter lives in the prefix, and the prefix gradients the full path
-// computed were discarded by ZeroGrad anyway.
+// tests): prefix activations are batch-independent per row, and no
+// trainable parameter lives in the prefix.
 //
 // softmax mirrors an oracle that exposes softmax probabilities: the white
 // box's logits are mapped through softmax before the MSE, and the gradient
-// is pulled back through the softmax Jacobian (train.MSESoftmax).
+// is pulled back through the softmax Jacobian (train.MSESoftmaxInto).
 func fitSoft(net *nn.Network, sites []softSite, x, y *tensor.Matrix, cfg Config,
 	rng *rand.Rand, softmax bool, epochCb func(epoch int, loss float64) bool) {
 
 	if len(sites) == 0 {
 		return
 	}
-	var softParams []*nn.Param
 	firstSite := sites[0].flip.SiteID
 	for _, s := range sites {
-		softParams = append(softParams, s.param)
 		if s.flip.SiteID < firstSite {
 			firstSite = s.flip.SiteID
 		}
@@ -111,7 +111,6 @@ func fitSoft(net *nn.Network, sites []softSite, x, y *tensor.Matrix, cfg Config,
 			return
 		}
 	}
-	opt := train.NewAdam(cfg.LearnRate)
 	n := x.Rows
 	perm := rng.Perm(n)
 	// Frozen-prefix activation cache, evaluated once per query set.
@@ -119,12 +118,10 @@ func fitSoft(net *nn.Network, sites []softSite, x, y *tensor.Matrix, cfg Config,
 	if h != x {
 		defer tensor.PutMatrix(h)
 	}
+	st := newFitStep(sl, sites, h, y, cfg, softmax)
+	defer st.release()
 	bestLoss := math.Inf(1)
 	stall := 0
-	// Reusable minibatch workspaces; partial batches reslice them.
-	bhBuf := tensor.GetMatrix(cfg.LearnBatch, h.Cols)
-	byBuf := tensor.GetMatrix(cfg.LearnBatch, y.Cols)
-	defer tensor.PutMatrix(bhBuf, byBuf)
 	for epoch := 0; epoch < cfg.LearnEpochs; epoch++ {
 		rng.Shuffle(n, func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
 		epochLoss := 0.0
@@ -134,24 +131,7 @@ func fitSoft(net *nn.Network, sites []softSite, x, y *tensor.Matrix, cfg Config,
 			if end > n {
 				end = n
 			}
-			bh := tensor.FromSlice(end-start, h.Cols, bhBuf.Data[:(end-start)*h.Cols])
-			by := tensor.FromSlice(end-start, y.Cols, byBuf.Data[:(end-start)*y.Cols])
-			tensor.GatherRowsInto(bh, h, perm[start:end])
-			tensor.GatherRowsInto(by, y, perm[start:end])
-			pred := sl.TrainForward(bh)
-			var loss float64
-			var grad *tensor.Matrix
-			if softmax {
-				loss, grad = train.MSESoftmax(pred, by)
-			} else {
-				grad = tensor.GetMatrix(pred.Rows, pred.Cols)
-				loss = train.MSEInto(grad, pred, by)
-			}
-			sl.Backward(grad)
-			tensor.PutMatrix(grad)
-			opt.Step(softParams)
-			sl.ZeroGrad() // drop gradients accumulated on frozen suffix weights
-			epochLoss += loss
+			epochLoss += st.run(perm[start:end])
 			batches++
 		}
 		epochLoss /= float64(batches)
@@ -182,6 +162,73 @@ func fitSoft(net *nn.Network, sites []softSite, x, y *tensor.Matrix, cfg Config,
 			}
 		}
 	}
+}
+
+// fitStep is one exact fit's minibatch step over a query set's boundary
+// activations h and labels y. Its workspaces are sized for a full
+// minibatch and resliced in place for a partial one, and the slice's
+// layers own their training buffers, so after the first minibatch a step
+// allocates nothing.
+type fitStep struct {
+	sl           *nn.Slice
+	h, y         *tensor.Matrix
+	bh, by, grad *tensor.Matrix
+	smScratch    []float64 // softmax row, nil unless softmax
+	opt          *train.Adam
+	params       []*nn.Param
+}
+
+func newFitStep(sl *nn.Slice, sites []softSite, h, y *tensor.Matrix, cfg Config, softmax bool) *fitStep {
+	batch := cfg.LearnBatch
+	if batch > h.Rows {
+		batch = h.Rows
+	}
+	st := &fitStep{
+		sl: sl, h: h, y: y,
+		bh:   tensor.GetMatrix(batch, h.Cols),
+		by:   tensor.GetMatrix(batch, y.Cols),
+		grad: tensor.GetMatrix(batch, y.Cols),
+		opt:  train.NewAdam(cfg.LearnRate),
+	}
+	if softmax {
+		st.smScratch = make([]float64, y.Cols)
+	}
+	for _, s := range sites {
+		st.params = append(st.params, s.param)
+	}
+	return st
+}
+
+// release returns the step's workspaces to the pool.
+func (st *fitStep) release() { tensor.PutMatrix(st.bh, st.by, st.grad) }
+
+// run takes one Adam step on the rows of the query set named by idx (at
+// most a full minibatch) and returns the minibatch loss. Step zeroes the
+// soft coefficient gradients it consumes; the frozen weights have none.
+func (st *fitStep) run(idx []int) float64 {
+	m := len(idx)
+	bh, by, grad := reslice(st.bh, m), reslice(st.by, m), reslice(st.grad, m)
+	tensor.GatherRowsInto(bh, st.h, idx)
+	tensor.GatherRowsInto(by, st.y, idx)
+	pred := st.sl.TrainForward(bh)
+	var loss float64
+	if st.smScratch != nil {
+		loss = train.MSESoftmaxInto(grad, pred, by, st.smScratch)
+	} else {
+		loss = train.MSEInto(grad, pred, by)
+	}
+	st.sl.Backward(grad)
+	st.opt.Step(st.params)
+	return loss
+}
+
+// reslice shrinks (or restores) a workspace's row count in place; the
+// backing storage keeps its full capacity, so unlike FromSlice no header
+// escapes to the heap per minibatch.
+func reslice[T tensor.Float](m *tensor.Mat[T], rows int) *tensor.Mat[T] {
+	m.Rows = rows
+	m.Data = m.Data[:rows*m.Cols]
+	return m
 }
 
 // learningAttack recovers the unresolved bits of one site (§3.6). The

@@ -10,13 +10,13 @@ import (
 )
 
 // fitSoft32 is the float32 speed tier of fitSoft (Config.TrainPrecision ==
-// Float32, DESIGN.md §13). It mirrors the exact loop statement for
-// statement — same slicing, same Adam optimizer on the same float64 soft
-// coefficient masters, same shuffled minibatch schedule from the same rng
-// draws, same stop rules reading the same float64 coefficients — but runs
-// the suffix forward/backward and the loss in float32 through nn.Engine32,
-// with every workspace carved from one Arena32 that is released wholesale
-// when the fit returns.
+// Float32, DESIGN.md §13). It mirrors the exact loop — same slicing, same
+// Adam optimizer on the same float64 soft coefficient masters, same
+// shuffled minibatch schedule from the same rng draws, same stop rules
+// reading the same float64 coefficients — but runs the suffix
+// forward/backward and the loss in float32 through nn.Engine32, with every
+// workspace carved from one Arena32 that is released wholesale when the
+// fit returns.
 //
 // What differs from the exact tier is only the rounding of the gradient
 // values flowing into the masters, so the fitted trajectory (losses,
@@ -70,14 +70,6 @@ func fitSoft32(sl *nn.Slice, sites []softSite, x, y *tensor.Matrix, cfg Config,
 	byBuf := ar.Mat(batch, y32.Cols)
 	gradBuf := ar.Mat(batch, y32.Cols)
 	smScratch := ar.Vec(y32.Cols)
-	// reslice shrinks (or restores) a workspace's row count in place; the
-	// backing arena block keeps its full capacity, so unlike FromSlice no
-	// header escapes to the heap per minibatch.
-	reslice := func(m *tensor.Mat[float32], rows int) *tensor.Mat[float32] {
-		m.Rows = rows
-		m.Data = m.Data[:rows*m.Cols]
-		return m
-	}
 
 	bestLoss := math.Inf(1)
 	stall := 0
@@ -104,10 +96,7 @@ func fitSoft32(sl *nn.Slice, sites []softSite, x, y *tensor.Matrix, cfg Config,
 				loss = train.MSEInto32(grad, pred, by)
 			}
 			eng.Backward(grad)
-			opt.Step(softParams)
-			// No ZeroGrad here: the engine never touches the frozen suffix
-			// weight gradients the exact tier had to discard, and Step zeroes
-			// the soft params it updates.
+			opt.Step(softParams) // zeroes the soft gradients it consumes
 			epochLoss += loss
 			batches++
 		}

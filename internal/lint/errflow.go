@@ -41,7 +41,7 @@ var errSources = map[string]map[string]bool{
 		"queryRetry": true, "queryBatchRetry": true,
 		"submit": true, "single": true,
 		"parallelForErr": true,
-		"Run": true, "Monolithic": true, "Resume": true, "runFrom": true,
+		"Run":            true, "Monolithic": true, "Resume": true, "runFrom": true,
 		"runSite": true, "relearnBySite": true,
 		"keyBitInference": true, "keyBitInferenceSpanned": true, "probeBit": true,
 		"learningAttack": true, "errorCorrection": true,

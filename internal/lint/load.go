@@ -39,7 +39,7 @@ type Program struct {
 	Units      []*Unit
 	TypeErrors []error
 	directives map[string]map[int][]*directive // filename -> line -> directives
-	cfgs       map[*ast.BlockStmt]*CFG        // shared CFG cache across analyzers
+	cfgs       map[*ast.BlockStmt]*CFG         // shared CFG cache across analyzers
 }
 
 // Load parses and type-checks every package of the module containing dir

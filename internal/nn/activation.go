@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"math"
+
 	"dnnlock/internal/tensor"
 )
 
@@ -10,7 +12,10 @@ type ReLU struct {
 	N      int
 	SiteID int
 
-	lastMask []bool // training cache
+	// Training-pass state (see Layer): the activity bitmask (all ones where
+	// the input was > 0) and the output buffers.
+	mask  []uint64
+	y, dx *tensor.Matrix
 }
 
 // NewReLU constructs an n-wide rectifier.
@@ -69,39 +74,48 @@ func (r *ReLU) ForwardBatch(x *tensor.Matrix) *tensor.Matrix {
 	return out
 }
 
-// TrainForward rectifies and caches the activity mask. The mask buffer is
-// reused across batches once grown to the largest batch seen; every element
-// is assigned each call, so stale contents cannot leak.
-func (r *ReLU) TrainForward(x *tensor.Matrix) *tensor.Matrix {
-	out := x.Clone()
-	if cap(r.lastMask) < len(out.Data) {
-		r.lastMask = make([]bool, len(out.Data))
-	}
-	r.lastMask = r.lastMask[:len(out.Data)]
-	for i, v := range out.Data {
-		active := v > 0
-		r.lastMask[i] = active
-		if !active {
-			out.Data[i] = 0
-		}
-	}
-	return out
+// activeBits is the rectifier's activity bitmask for one input: all ones
+// when v > 0, zero otherwise (for ±0, negative values and NaN). As an
+// integer, v > 0 exactly when its bits lie in (0, bits(+Inf)]; both bounds
+// are tested by sign bits, so no branch depends on the input's sign.
+func activeBits(v float64) uint64 {
+	const posInf = 0x7FF0000000000000 // bits of +Inf
+	i := int64(math.Float64bits(v))
+	return uint64((-i & (i - posInf - 1)) >> 63)
 }
 
-// Backward gates the incoming gradient by the cached activity mask.
+// TrainForward rectifies and caches the activity bitmask. Pre-activation
+// signs are effectively random mid-fit, so both training passes mask bits
+// instead of branching; an inactive unit's bits clear to +0.
+func (r *ReLU) TrainForward(x *tensor.Matrix) *tensor.Matrix {
+	y := ensure(&r.y, x.Rows, x.Cols)
+	if cap(r.mask) < len(x.Data) {
+		r.mask = make([]uint64, len(x.Data))
+	}
+	r.mask = r.mask[:len(x.Data)]
+	mask, yd := r.mask, y.Data[:len(x.Data)]
+	for i, v := range x.Data {
+		m := activeBits(v)
+		mask[i] = m
+		yd[i] = math.Float64frombits(math.Float64bits(v) & m)
+	}
+	return y
+}
+
+// Backward gates the incoming gradient by the cached activity bitmask.
 func (r *ReLU) Backward(dy *tensor.Matrix) *tensor.Matrix {
-	if r.lastMask == nil {
+	if r.mask == nil {
 		panic("nn: ReLU.Backward before TrainForward")
 	}
-	dx := tensor.GetMatrix(dy.Rows, dy.Cols)
-	copy(dx.Data, dy.Data)
-	for i := range dx.Data {
-		if !r.lastMask[i] {
-			dx.Data[i] = 0
-		}
+	dx := ensure(&r.dx, dy.Rows, dy.Cols)
+	mask, dxd := r.mask[:len(dy.Data)], dx.Data[:len(dy.Data)]
+	for i, g := range dy.Data {
+		dxd[i] = math.Float64frombits(math.Float64bits(g) & mask[i])
 	}
 	return dx
 }
+
+func (r *ReLU) dropTrainState() { r.mask, r.y, r.dx = nil, nil, nil }
 
 // JVP gates tangent rows by the activation pattern of the value path and
 // records the input Jacobian into jtr.

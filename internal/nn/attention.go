@@ -14,17 +14,22 @@ import (
 // applies. Input/output are T·D flat token stacks.
 //
 // All matrix products run through the transpose-free blocked kernels
-// (MatMulABTInto/MatMulATBInto), so no Kᵀ/Vᵀ/Xᵀ copies are ever built, and
-// intermediates live in the tensor workspace pool rather than being
-// reallocated per example.
+// (MatMulABTInto/MatMulATBInto), so no Kᵀ/Vᵀ/Xᵀ copies are ever built.
+// Forward and JVP stage intermediates in the tensor workspace pool; the
+// training passes keep them in per-row buffers the layer owns.
 type AttentionReLU struct {
 	T, D, Dh       int
 	Wq, Wk, Wv, Wo *Param
 
-	// Training caches (single-goroutine). The matrices are pool-backed;
-	// they are released on the next TrainForward.
-	cX, cQ, cK, cV, cS, cO []*tensor.Matrix
-	cMask                  [][]bool
+	// Training-pass state (see Layer): the cached input, per-row
+	// intermediates grown to the largest batch seen, the row-major masks of
+	// every row, output buffers, per-row scratch, and reusable row views.
+	lastX                     *tensor.Matrix
+	cQ, cK, cV, cS, cO        []*tensor.Matrix
+	cMask                     []bool
+	y, dx                     *tensor.Matrix
+	u, do, ds, du, dv, dq, dk *tensor.Matrix
+	xv, yv                    tensor.Matrix
 }
 
 // NewAttentionReLU constructs an attention block over t tokens of width d
@@ -63,37 +68,45 @@ func (a *AttentionReLU) scaleA() float64 { return 1 / math.Sqrt(float64(a.Dh)) }
 func (a *AttentionReLU) scaleB() float64 { return 1 / float64(a.T) }
 
 // forwardOne computes the block for one example (xm is the T×D token view
-// of the input) and returns all intermediates for reuse by Backward and
-// JVP. The returned matrices come from the workspace pool — the caller
-// either releases them with tensor.PutMatrix or caches them; y is freshly
-// allocated and owned by the caller.
+// of the input) and returns all intermediates for reuse by JVP. The
+// returned matrices come from the workspace pool — the caller releases
+// them with tensor.PutMatrix; y is freshly allocated and owned by the
+// caller.
 func (a *AttentionReLU) forwardOne(xm *tensor.Matrix) (q, k, v, s, o *tensor.Matrix, mask []bool, y []float64) {
 	q = tensor.GetMatrix(a.T, a.Dh)
 	k = tensor.GetMatrix(a.T, a.Dh)
 	v = tensor.GetMatrix(a.T, a.Dh)
+	u := tensor.GetMatrix(a.T, a.T)
+	s = tensor.GetMatrix(a.T, a.T)
+	o = tensor.GetMatrix(a.T, a.Dh)
+	mask = make([]bool, a.T*a.T)
+	ym := tensor.New(a.T, a.D)
+	a.forwardInto(xm, q, k, v, u, s, o, ym, mask)
+	tensor.PutMatrix(u)
+	return q, k, v, s, o, mask, ym.Data
+}
+
+// forwardInto computes the block for one example into caller buffers: the
+// projections q, k, v, the scores u (scratch) and s = φ(u)/T with their
+// activity mask, o = S·V, and the output ym. Every element is assigned.
+func (a *AttentionReLU) forwardInto(xm, q, k, v, u, s, o, ym *tensor.Matrix, mask []bool) {
 	tensor.MatMulInto(q, xm, a.Wq.W)
 	tensor.MatMulInto(k, xm, a.Wk.W)
 	tensor.MatMulInto(v, xm, a.Wv.W)
-	u := tensor.GetMatrix(a.T, a.T)
 	tensor.MatMulABTInto(u, q, k) // U = Q·Kᵀ
 	u.ScaleInPlace(a.scaleA())
-	mask = make([]bool, a.T*a.T)
-	s = tensor.GetMatrix(a.T, a.T)
 	b := a.scaleB()
 	for i, uv := range u.Data {
 		if uv > 0 {
 			mask[i] = true
 			s.Data[i] = uv * b
 		} else {
+			mask[i] = false
 			s.Data[i] = 0
 		}
 	}
-	tensor.PutMatrix(u)
-	o = tensor.GetMatrix(a.T, a.Dh)
 	tensor.MatMulInto(o, s, v)
-	ym := tensor.New(a.T, a.D)
 	tensor.MatMulInto(ym, o, a.Wo.W)
-	return q, k, v, s, o, mask, ym.Data
 }
 
 // Forward computes attention for one flat example.
@@ -109,60 +122,79 @@ func (a *AttentionReLU) ForwardBatch(x *tensor.Matrix) *tensor.Matrix {
 	return forwardBatchViaSingle(a, x)
 }
 
-// releaseCaches returns the previous training intermediates to the
-// workspace pool.
-func (a *AttentionReLU) releaseCaches() {
-	for _, set := range [][]*tensor.Matrix{a.cX, a.cQ, a.cK, a.cV, a.cS, a.cO} {
-		tensor.PutMatrix(set...)
+// ensureRows grows the per-row training intermediates to n rows.
+func (a *AttentionReLU) ensureRows(n int) {
+	for len(a.cQ) < n {
+		a.cQ = append(a.cQ, tensor.New(a.T, a.Dh))
+		a.cK = append(a.cK, tensor.New(a.T, a.Dh))
+		a.cV = append(a.cV, tensor.New(a.T, a.Dh))
+		a.cS = append(a.cS, tensor.New(a.T, a.T))
+		a.cO = append(a.cO, tensor.New(a.T, a.Dh))
 	}
-	a.cX, a.cQ, a.cK, a.cV, a.cS, a.cO, a.cMask = nil, nil, nil, nil, nil, nil, nil
+	if len(a.cMask) < n*a.T*a.T {
+		a.cMask = make([]bool, n*a.T*a.T)
+	}
+}
+
+// rowView points the reusable header m at one row of x as a rows×cols
+// matrix, so per-row views cost no allocation.
+func rowView(m *tensor.Matrix, x []float64, rows, cols int) *tensor.Matrix {
+	m.Rows, m.Cols, m.Data = rows, cols, x
+	return m
 }
 
 // TrainForward runs the batch while caching all per-example intermediates.
 func (a *AttentionReLU) TrainForward(x *tensor.Matrix) *tensor.Matrix {
-	a.releaseCaches()
+	checkSize("attention_relu", a.InSize(), x.Cols)
 	n := x.Rows
-	a.cX = make([]*tensor.Matrix, n)
-	a.cQ = make([]*tensor.Matrix, n)
-	a.cK = make([]*tensor.Matrix, n)
-	a.cV = make([]*tensor.Matrix, n)
-	a.cS = make([]*tensor.Matrix, n)
-	a.cO = make([]*tensor.Matrix, n)
-	a.cMask = make([][]bool, n)
-	out := tensor.New(n, a.OutSize())
+	a.lastX = x
+	a.ensureRows(n)
+	y := ensure(&a.y, n, a.OutSize())
+	u := ensure(&a.u, a.T, a.T)
+	tt := a.T * a.T
 	for r := 0; r < n; r++ {
-		xm := tensor.GetMatrix(a.T, a.D)
-		copy(xm.Data, x.Row(r))
-		q, k, v, s, o, mask, y := a.forwardOne(xm)
-		//lint:transfer cached for Backward; releaseCaches returns every buffer to the pool
-		a.cX[r], a.cQ[r], a.cK[r], a.cV[r], a.cS[r], a.cO[r], a.cMask[r] = xm, q, k, v, s, o, mask
-		out.SetRow(r, y)
+		a.forwardInto(rowView(&a.xv, x.Row(r), a.T, a.D),
+			a.cQ[r], a.cK[r], a.cV[r], u, a.cS[r], a.cO[r],
+			rowView(&a.yv, y.Row(r), a.T, a.D), a.cMask[r*tt:(r+1)*tt])
 	}
-	return out
+	return y
+}
+
+func (a *AttentionReLU) dropTrainState() {
+	a.lastX, a.y, a.dx = nil, nil, nil
+	a.cQ, a.cK, a.cV, a.cS, a.cO, a.cMask = nil, nil, nil, nil, nil, nil
+	a.u, a.do, a.ds, a.du, a.dv, a.dq, a.dk = nil, nil, nil, nil, nil, nil, nil
+	a.xv, a.yv = tensor.Matrix{}, tensor.Matrix{}
 }
 
 // Backward propagates gradients through the attention algebra:
 // dO = dY·Woᵀ, dS = dO·Vᵀ, dU = 1[U>0]∘dS·b, dQ = dU·K·a, dK = dUᵀ·Q·a,
-// dX = dQ·Wqᵀ + dK·Wkᵀ + dV·Wvᵀ.
+// dX = dQ·Wqᵀ + dK·Wkᵀ + dV·Wvᵀ. The projection gradients accumulate only
+// for unfrozen weights.
 func (a *AttentionReLU) Backward(dy *tensor.Matrix) *tensor.Matrix {
-	if a.cX == nil {
+	if a.lastX == nil {
 		panic("nn: AttentionReLU.Backward before TrainForward")
 	}
 	sa, sb := a.scaleA(), a.scaleB()
-	dx := tensor.New(dy.Rows, a.InSize())
-	do := tensor.GetMatrix(a.T, a.Dh)
-	ds := tensor.GetMatrix(a.T, a.T)
-	du := tensor.GetMatrix(a.T, a.T)
-	dv := tensor.GetMatrix(a.T, a.Dh)
-	dq := tensor.GetMatrix(a.T, a.Dh)
-	dk := tensor.GetMatrix(a.T, a.Dh)
-	defer tensor.PutMatrix(do, ds, du, dv, dq, dk)
+	dx := ensure(&a.dx, dy.Rows, a.InSize())
+	do := ensure(&a.do, a.T, a.Dh)
+	ds := ensure(&a.ds, a.T, a.T)
+	du := ensure(&a.du, a.T, a.T)
+	dv := ensure(&a.dv, a.T, a.Dh)
+	dq := ensure(&a.dq, a.T, a.Dh)
+	dk := ensure(&a.dk, a.T, a.Dh)
+	tt := a.T * a.T
 	for r := 0; r < dy.Rows; r++ {
-		dym := tensor.FromSlice(a.T, a.D, dy.Row(r))
-		x, q, k, v, s, o, mask := a.cX[r], a.cQ[r], a.cK[r], a.cV[r], a.cS[r], a.cO[r], a.cMask[r]
+		// xv and yv are free during Backward: borrow them as the row views
+		// of the cached input and the incoming gradient.
+		dym := rowView(&a.yv, dy.Row(r), a.T, a.D)
+		q, k, v, s, o := a.cQ[r], a.cK[r], a.cV[r], a.cS[r], a.cO[r]
+		mask := a.cMask[r*tt : (r+1)*tt]
 
 		tensor.MatMulABTInto(do, dym, a.Wo.W) // dO = dY·Woᵀ
-		tensor.MatMulATBAddInto(a.Wo.G, o, dym)
+		if !a.Wo.Frozen {
+			tensor.MatMulATBAddInto(a.Wo.G, o, dym)
+		}
 
 		tensor.MatMulABTInto(ds, do, v) // dS = dO·Vᵀ
 		tensor.MatMulATBInto(dv, s, do) // dV = Sᵀ·dO
@@ -179,11 +211,18 @@ func (a *AttentionReLU) Backward(dy *tensor.Matrix) *tensor.Matrix {
 		tensor.MatMulATBInto(dk, du, q) // dK = dUᵀ·Q
 		dk.ScaleInPlace(sa)
 
-		tensor.MatMulATBAddInto(a.Wq.G, x, dq) // Wq.G += Xᵀ·dQ
-		tensor.MatMulATBAddInto(a.Wk.G, x, dk)
-		tensor.MatMulATBAddInto(a.Wv.G, x, dv)
+		xm := rowView(&a.xv, a.lastX.Row(r), a.T, a.D)
+		if !a.Wq.Frozen {
+			tensor.MatMulATBAddInto(a.Wq.G, xm, dq) // Wq.G += Xᵀ·dQ
+		}
+		if !a.Wk.Frozen {
+			tensor.MatMulATBAddInto(a.Wk.G, xm, dk)
+		}
+		if !a.Wv.Frozen {
+			tensor.MatMulATBAddInto(a.Wv.G, xm, dv)
+		}
 
-		dxm := tensor.FromSlice(a.T, a.D, dx.Row(r))
+		dxm := rowView(&a.xv, dx.Row(r), a.T, a.D)
 		tensor.MatMulABTInto(dxm, dq, a.Wq.W) // dX = dQ·Wqᵀ + dK·Wkᵀ + dV·Wvᵀ
 		tensor.MatMulABTAddInto(dxm, dk, a.Wk.W)
 		tensor.MatMulABTAddInto(dxm, dv, a.Wv.W)

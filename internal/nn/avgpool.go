@@ -10,6 +10,8 @@ type AvgPool2D struct {
 	C, InH, InW int
 	K, Stride   int
 	OutH, OutW  int
+
+	y, dx *tensor.Matrix // training-pass buffers (see Layer)
 }
 
 // NewAvgPool2D constructs a k×k average pool with the given stride.
@@ -32,6 +34,12 @@ func (a *AvgPool2D) OutSize() int { return a.C * a.OutH * a.OutW }
 func (a *AvgPool2D) Forward(x []float64, _ *Trace) []float64 {
 	checkSize("avgpool2d", a.InSize(), len(x))
 	y := make([]float64, a.OutSize())
+	a.forwardInto(x, y)
+	return y
+}
+
+// forwardInto pools one example into y (length OutSize).
+func (a *AvgPool2D) forwardInto(x, y []float64) {
 	inv := 1 / float64(a.K*a.K)
 	for c := 0; c < a.C; c++ {
 		inBase := c * a.InH * a.InW
@@ -49,7 +57,6 @@ func (a *AvgPool2D) Forward(x []float64, _ *Trace) []float64 {
 			}
 		}
 	}
-	return y
 }
 
 // ForwardBatch pools each row.
@@ -59,12 +66,20 @@ func (a *AvgPool2D) ForwardBatch(x *tensor.Matrix) *tensor.Matrix {
 
 // TrainForward is ForwardBatch (linear map; no cache needed).
 func (a *AvgPool2D) TrainForward(x *tensor.Matrix) *tensor.Matrix {
-	return a.ForwardBatch(x)
+	checkSize("avgpool2d", a.InSize(), x.Cols)
+	y := ensure(&a.y, x.Rows, a.OutSize())
+	for r := 0; r < x.Rows; r++ {
+		a.forwardInto(x.Row(r), y.Row(r))
+	}
+	return y
 }
+
+func (a *AvgPool2D) dropTrainState() { a.y, a.dx = nil, nil }
 
 // Backward spreads each output gradient evenly over its window.
 func (a *AvgPool2D) Backward(dy *tensor.Matrix) *tensor.Matrix {
-	dx := tensor.GetMatrixZero(dy.Rows, a.InSize())
+	dx := ensure(&a.dx, dy.Rows, a.InSize())
+	clear(dx.Data)
 	inv := 1 / float64(a.K*a.K)
 	for r := 0; r < dy.Rows; r++ {
 		dyr := dy.Row(r)

@@ -14,17 +14,17 @@ func cloneParam(p *Param) *Param {
 
 // CloneLayer returns a deep copy of a layer: parameters are copied,
 // training caches are dropped, soft flip state is not carried over.
-func CloneLayer(l Layer) Layer {
+func CloneLayer(l Layer) Layer { return cloneLayer(l, cloneParam) }
+
+// cloneLayer copies a layer's structure into fresh layer values with no
+// training state and no soft flip state, mapping every weight parameter
+// through param. Flip signs and offsets are always deep-copied.
+func cloneLayer(l Layer, param func(*Param) *Param) Layer {
 	switch v := l.(type) {
 	case *Dense:
-		c := NewDense(v.In, v.Out)
-		c.W = cloneParam(v.W)
-		c.B = cloneParam(v.B)
-		return c
+		return &Dense{In: v.In, Out: v.Out, W: param(v.W), B: param(v.B)}
 	case *TokenDense:
-		c := NewTokenDense(v.T, v.D.In, v.D.Out)
-		c.D = CloneLayer(v.D).(*Dense)
-		return c
+		return &TokenDense{T: v.T, D: cloneLayer(v.D, param).(*Dense)}
 	case *ReLU:
 		return NewReLU(v.N)
 	case *Flatten:
@@ -38,10 +38,12 @@ func CloneLayer(l Layer) Layer {
 		}
 		return c
 	case *Conv2D:
-		c := NewConv2D(v.InC, v.InH, v.InW, v.OutC, v.KH, v.Stride, v.Pad)
-		c.W = cloneParam(v.W)
-		c.B = cloneParam(v.B)
-		return c
+		return &Conv2D{
+			InC: v.InC, InH: v.InH, InW: v.InW,
+			OutC: v.OutC, KH: v.KH, KW: v.KW, Stride: v.Stride, Pad: v.Pad,
+			OutH: v.OutH, OutW: v.OutW,
+			W: param(v.W), B: param(v.B),
+		}
 	case *MaxPool2D:
 		return NewMaxPool2D(v.C, v.InH, v.InW, v.K, v.Stride)
 	case *AvgPool2D:
@@ -53,25 +55,23 @@ func CloneLayer(l Layer) Layer {
 	case *Residual:
 		body := make([]Layer, len(v.Body))
 		for i, b := range v.Body {
-			body[i] = CloneLayer(b)
+			body[i] = cloneLayer(b, param)
 		}
 		short := make([]Layer, len(v.Shortcut))
 		for i, s := range v.Shortcut {
-			short[i] = CloneLayer(s)
+			short[i] = cloneLayer(s, param)
 		}
 		return &Residual{Body: body, Shortcut: short}
 	case *AttentionReLU:
-		c := NewAttentionReLU(v.T, v.D, v.Dh)
-		c.Wq = cloneParam(v.Wq)
-		c.Wk = cloneParam(v.Wk)
-		c.Wv = cloneParam(v.Wv)
-		c.Wo = cloneParam(v.Wo)
-		return c
+		return &AttentionReLU{
+			T: v.T, D: v.D, Dh: v.Dh,
+			Wq: param(v.Wq), Wk: param(v.Wk), Wv: param(v.Wv), Wo: param(v.Wo),
+		}
 	case *PatchEmbed:
-		c := NewPatchEmbed(v.C, v.H, v.W, v.P, v.D)
-		c.Wt = cloneParam(v.Wt)
-		c.B = cloneParam(v.B)
-		return c
+		return &PatchEmbed{
+			C: v.C, H: v.H, W: v.W, P: v.P, D: v.D, T: v.T,
+			Wt: param(v.Wt), B: param(v.B),
+		}
 	default:
 		panic(fmt.Sprintf("nn: CloneLayer does not know %T", l))
 	}
@@ -82,6 +82,21 @@ func (n *Network) Clone() *Network {
 	layers := make([]Layer, len(n.Layers))
 	for i, l := range n.Layers {
 		layers[i] = CloneLayer(l)
+	}
+	return NewNetwork(layers...)
+}
+
+// CloneForKeys returns a network for evaluating n under another key
+// hypothesis, or for fitting soft key coefficients against n's weights. It
+// has its own layer values, so its flip signs, ReLU site IDs and training
+// state are its own, and clones can run concurrently with each other. It
+// shares n's weight matrices read-only: its weight parameters are frozen
+// views with no gradient buffer, so training passes skip weight-gradient
+// work. Only soft flip coefficients (Flip.Soften) are trainable.
+func (n *Network) CloneForKeys() *Network {
+	layers := make([]Layer, len(n.Layers))
+	for i, l := range n.Layers {
+		layers[i] = cloneLayer(l, frozenParam)
 	}
 	return NewNetwork(layers...)
 }

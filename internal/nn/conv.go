@@ -21,7 +21,8 @@ type Conv2D struct {
 	OutH, OutW    int
 	W, B          *Param
 
-	lastX *tensor.Matrix // training cache
+	// Training-pass state (see Layer): the cached input and output buffers.
+	lastX, y, dx *tensor.Matrix
 }
 
 // NewConv2D constructs a convolution layer and computes its output geometry.
@@ -502,16 +503,29 @@ func (c *Conv2D) ForwardBatch(x *tensor.Matrix) *tensor.Matrix {
 // TrainForward is ForwardBatch with input caching.
 func (c *Conv2D) TrainForward(x *tensor.Matrix) *tensor.Matrix {
 	c.lastX = x
-	return c.ForwardBatch(x)
+	// forwardInto assigns every output element, so the reused buffer is safe.
+	y := ensure(&c.y, x.Rows, c.OutSize())
+	for i := 0; i < x.Rows; i++ {
+		c.forwardInto(x.Row(i), y.Row(i), true)
+	}
+	return y
 }
 
-// Backward accumulates kernel/bias gradients and returns dX.
+func (c *Conv2D) dropTrainState() { c.lastX, c.y, c.dx = nil, nil, nil }
+
+// Backward accumulates kernel/bias gradients for unfrozen parameters and
+// returns dX.
 func (c *Conv2D) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	x := c.lastX
 	if x == nil {
 		panic("nn: Conv2D.Backward before TrainForward")
 	}
-	dx := tensor.GetMatrixZero(dy.Rows, c.InSize())
+	dx := ensure(&c.dx, dy.Rows, c.InSize())
+	clear(dx.Data)
+	if c.W.Frozen {
+		c.backwardDX(dx, dy)
+		return dx
+	}
 	plane := c.OutH * c.OutW
 	chStride := c.InH * c.InW
 	for r := 0; r < dy.Rows; r++ {
@@ -531,7 +545,9 @@ func (c *Conv2D) Backward(dy *tensor.Matrix) *tensor.Matrix {
 						if g == 0 {
 							continue
 						}
-						c.B.G.Data[f] += g
+						if !c.B.Frozen {
+							c.B.G.Data[f] += g
+						}
 						wg := c.W.G.Row(f)
 						wr := c.W.W.Row(f)
 						idx := 0
@@ -603,7 +619,9 @@ func (c *Conv2D) Backward(dy *tensor.Matrix) *tensor.Matrix {
 					if g == 0 {
 						continue
 					}
-					c.B.G.Data[f] += g
+					if !c.B.Frozen {
+						c.B.G.Data[f] += g
+					}
 					wg := c.W.G.Row(f)
 					wr := c.W.W.Row(f)
 					for ch := 0; ch < c.InC; ch++ {
@@ -623,6 +641,91 @@ func (c *Conv2D) Backward(dy *tensor.Matrix) *tensor.Matrix {
 		}
 	}
 	return dx
+}
+
+// backwardDX is Backward for frozen kernels: it adds g·W into the zeroed dx
+// in the same (row, oy, ox, filter, channel, ky, kx) order as the full
+// pass, so dX is bit-identical, and accumulates the bias gradient only if
+// the bias trains.
+func (c *Conv2D) backwardDX(dx, dy *tensor.Matrix) {
+	plane := c.OutH * c.OutW
+	chStride := c.InH * c.InW
+	for r := 0; r < dy.Rows; r++ {
+		dyr := dy.Row(r)
+		dxr := dx.Row(r)
+		for oy := 0; oy < c.OutH; oy++ {
+			iy0 := oy*c.Stride - c.Pad
+			for ox := 0; ox < c.OutW; ox++ {
+				ix0 := ox*c.Stride - c.Pad
+				interior := iy0 >= 0 && ix0 >= 0 && iy0+c.KH <= c.InH && ix0+c.KW <= c.InW
+				kyLo, kyHi := clipRange(iy0, c.KH, c.InH)
+				kxLo, kxHi := clipRange(ix0, c.KW, c.InW)
+				for f := 0; f < c.OutC; f++ {
+					g := dyr[f*plane+oy*c.OutW+ox]
+					//lint:ignore floatcmp exact-zero skip: adding a zero gradient term is a bit-exact no-op
+					if g == 0 {
+						continue
+					}
+					if !c.B.Frozen {
+						c.B.G.Data[f] += g
+					}
+					wr := c.W.W.Row(f)
+					if !interior {
+						for ch := 0; ch < c.InC; ch++ {
+							chBase := ch * chStride
+							wBase := ch * c.KH * c.KW
+							for ky := kyLo; ky < kyHi; ky++ {
+								rowX := chBase + (iy0+ky)*c.InW + ix0
+								wRow := wBase + ky*c.KW
+								for kx := kxLo; kx < kxHi; kx++ {
+									dxr[rowX+kx] += g * wr[wRow+kx]
+								}
+							}
+						}
+						continue
+					}
+					idx := 0
+					for ch := 0; ch < c.InC; ch++ {
+						rowBase := ch*chStride + iy0*c.InW + ix0
+						switch c.KW {
+						case 3:
+							for ky := 0; ky < c.KH; ky++ {
+								dxw := dxr[rowBase : rowBase+3]
+								ww := wr[idx : idx+3]
+								dxw[0] += g * ww[0]
+								dxw[1] += g * ww[1]
+								dxw[2] += g * ww[2]
+								idx += 3
+								rowBase += c.InW
+							}
+						case 5:
+							for ky := 0; ky < c.KH; ky++ {
+								dxw := dxr[rowBase : rowBase+5]
+								ww := wr[idx : idx+5]
+								dxw[0] += g * ww[0]
+								dxw[1] += g * ww[1]
+								dxw[2] += g * ww[2]
+								dxw[3] += g * ww[3]
+								dxw[4] += g * ww[4]
+								idx += 5
+								rowBase += c.InW
+							}
+						default:
+							for ky := 0; ky < c.KH; ky++ {
+								dxw := dxr[rowBase : rowBase+c.KW]
+								ww := wr[idx : idx+c.KW]
+								for kx := range dxw {
+									dxw[kx] += g * ww[kx]
+								}
+								idx += c.KW
+								rowBase += c.InW
+							}
+						}
+					}
+				}
+			}
+		}
+	}
 }
 
 // JVP convolves the value with bias and every tangent column without bias

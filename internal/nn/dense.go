@@ -13,7 +13,8 @@ type Dense struct {
 	In, Out int
 	W, B    *Param
 
-	lastX *tensor.Matrix // training cache
+	// Training-pass state (see Layer): the cached input and output buffers.
+	lastX, y, dx *tensor.Matrix
 }
 
 // NewDense constructs a dense layer with zero weights (see InitHe/InitXavier).
@@ -67,8 +68,14 @@ func (d *Dense) Forward(x []float64, _ *Trace) []float64 {
 // blocked kernel (W is stored out×in, so no copy of Wᵀ is ever built).
 func (d *Dense) ForwardBatch(x *tensor.Matrix) *tensor.Matrix {
 	checkSize("dense", d.In, x.Cols)
-	// MatMulABTInto overwrites dst, so the pooled buffer needs no zeroing.
+	// forwardBatchInto overwrites dst, so the pooled buffer needs no zeroing.
 	out := tensor.GetMatrix(x.Rows, d.Out)
+	d.forwardBatchInto(out, x)
+	return out
+}
+
+// forwardBatchInto writes X·Wᵀ + b into out (x.Rows × Out).
+func (d *Dense) forwardBatchInto(out, x *tensor.Matrix) {
 	tensor.MatMulABTInto(out, x, d.W.W)
 	brow := d.B.W.Row(0)
 	for i := 0; i < out.Rows; i++ {
@@ -77,16 +84,18 @@ func (d *Dense) ForwardBatch(x *tensor.Matrix) *tensor.Matrix {
 			or[o] += bv
 		}
 	}
-	return out
 }
 
 // TrainForward is ForwardBatch with input caching for Backward.
 func (d *Dense) TrainForward(x *tensor.Matrix) *tensor.Matrix {
+	checkSize("dense", d.In, x.Cols)
 	d.lastX = x
-	return d.ForwardBatch(x)
+	y := ensure(&d.y, x.Rows, d.Out)
+	d.forwardBatchInto(y, x)
+	return y
 }
 
-// Backward accumulates dW, dB and returns dX.
+// Backward accumulates dW, dB for unfrozen parameters and returns dX.
 // dW += dYᵀ·X ; dB += Σ_rows dY ; dX = dY·W — all through the transpose-free
 // parallel kernels, which keep the batch-ascending accumulation order of the
 // original serial loops.
@@ -95,21 +104,27 @@ func (d *Dense) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	if x == nil {
 		panic("nn: Dense.Backward before TrainForward")
 	}
-	tensor.MatMulATBAddInto(d.W.G, dy, x)
-	bg := d.B.G.Row(0)
-	for i := 0; i < dy.Rows; i++ {
-		for o, g := range dy.Row(i) {
-			//lint:ignore floatcmp exact-zero skip: adding a zero gradient term is a bit-exact no-op
-			if g == 0 {
-				continue
+	if !d.W.Frozen {
+		tensor.MatMulATBAddInto(d.W.G, dy, x)
+	}
+	if !d.B.Frozen {
+		bg := d.B.G.Row(0)
+		for i := 0; i < dy.Rows; i++ {
+			for o, g := range dy.Row(i) {
+				//lint:ignore floatcmp exact-zero skip: adding a zero gradient term is a bit-exact no-op
+				if g == 0 {
+					continue
+				}
+				bg[o] += g
 			}
-			bg[o] += g
 		}
 	}
-	dx := tensor.GetMatrix(dy.Rows, d.In)
-	tensor.MatMulInto(dx, dy, d.W.W) // overwrites dst, so the pooled buffer needs no zeroing
+	dx := ensure(&d.dx, dy.Rows, d.In)
+	tensor.MatMulInto(dx, dy, d.W.W) // overwrites dst, so the reused buffer needs no zeroing
 	return dx
 }
+
+func (d *Dense) dropTrainState() { d.lastX, d.y, d.dx = nil, nil, nil }
 
 // JVP propagates the value and tangent: y = Wx+b, Jy = W·J.
 func (d *Dense) JVP(x []float64, j *tensor.Matrix, _ *JVPTrace) ([]float64, *tensor.Matrix) {
@@ -126,6 +141,10 @@ func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
 type TokenDense struct {
 	T int
 	D *Dense
+
+	// Training-pass buffers (see Layer): the token-major views of the input
+	// and output gradient, and the flat output and input gradient.
+	tokens, dtok, y, dx *tensor.Matrix
 }
 
 // NewTokenDense constructs a per-token dense layer over t tokens.
@@ -173,7 +192,7 @@ func (td *TokenDense) ForwardBatch(x *tensor.Matrix) *tensor.Matrix {
 func (td *TokenDense) TrainForward(x *tensor.Matrix) *tensor.Matrix {
 	// Expand batch of flat examples into a (rows·T)×In token batch so the
 	// inner Dense caches one matrix.
-	tokens := tensor.New(x.Rows*td.T, td.D.In)
+	tokens := ensure(&td.tokens, x.Rows*td.T, td.D.In)
 	for i := 0; i < x.Rows; i++ {
 		xr := x.Row(i)
 		for t := 0; t < td.T; t++ {
@@ -181,7 +200,7 @@ func (td *TokenDense) TrainForward(x *tensor.Matrix) *tensor.Matrix {
 		}
 	}
 	y := td.D.TrainForward(tokens)
-	out := tensor.New(x.Rows, td.OutSize())
+	out := ensure(&td.y, x.Rows, td.OutSize())
 	for i := 0; i < x.Rows; i++ {
 		or := out.Row(i)
 		for t := 0; t < td.T; t++ {
@@ -193,7 +212,7 @@ func (td *TokenDense) TrainForward(x *tensor.Matrix) *tensor.Matrix {
 
 // Backward routes gradients through the shared dense transform.
 func (td *TokenDense) Backward(dy *tensor.Matrix) *tensor.Matrix {
-	dtok := tensor.New(dy.Rows*td.T, td.D.Out)
+	dtok := ensure(&td.dtok, dy.Rows*td.T, td.D.Out)
 	for i := 0; i < dy.Rows; i++ {
 		dr := dy.Row(i)
 		for t := 0; t < td.T; t++ {
@@ -201,7 +220,7 @@ func (td *TokenDense) Backward(dy *tensor.Matrix) *tensor.Matrix {
 		}
 	}
 	dxTok := td.D.Backward(dtok)
-	dx := tensor.New(dy.Rows, td.InSize())
+	dx := ensure(&td.dx, dy.Rows, td.InSize())
 	for i := 0; i < dy.Rows; i++ {
 		dr := dx.Row(i)
 		for t := 0; t < td.T; t++ {
@@ -209,6 +228,11 @@ func (td *TokenDense) Backward(dy *tensor.Matrix) *tensor.Matrix {
 		}
 	}
 	return dx
+}
+
+func (td *TokenDense) dropTrainState() {
+	td.tokens, td.dtok, td.y, td.dx = nil, nil, nil, nil
+	td.D.dropTrainState()
 }
 
 // JVP applies the shared linear map token-wise to value and tangents.

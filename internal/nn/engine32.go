@@ -9,9 +9,8 @@ import (
 // Engine32 is the float32 shadow of a Slice's trainable suffix — the raw-
 // speed tier of the §3.6 learning attack (DESIGN.md §13). It exists because
 // the fit trains *only* the soft flip coefficients: every suffix weight is
-// frozen, its gradients were discarded by ZeroGrad anyway, and nothing in
-// the loop needs bit-identity to the paper's float64 reference. The engine
-// therefore:
+// frozen, and nothing in the loop needs bit-identity to the paper's float64
+// reference. The engine therefore:
 //
 //   - copies the frozen suffix weights to float32 once at construction,
 //   - runs forward and the dX backward chain entirely in float32,

@@ -59,7 +59,7 @@ func TestEngine32MatchesFloat64(t *testing.T) {
 			ref := y64.Clone()
 			sl.Backward(dy)
 			refG := append([]float64(nil), p.G.Data...)
-			sl.ZeroGrad()
+			net.ZeroGrad()
 
 			// Float32 shadow.
 			ar := tensor.GetArena32()
@@ -92,7 +92,7 @@ func TestEngine32MatchesFloat64(t *testing.T) {
 						name, gated, i, p.G.Data[i], g, d)
 				}
 			}
-			sl.ZeroGrad()
+			net.ZeroGrad()
 			tensor.PutArena32(ar)
 		}
 	}

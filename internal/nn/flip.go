@@ -42,7 +42,8 @@ type Flip struct {
 	softW     *Param // 1×len(softIdx) trainable raw weights
 	softGated bool
 
-	lastX *tensor.Matrix // training cache
+	// Training-pass state (see Layer): the cached input and output buffers.
+	lastX, y, dx *tensor.Matrix
 }
 
 // NewFlip constructs an identity flip (all signs +1) of width n.
@@ -202,8 +203,15 @@ func (f *Flip) ForwardBatch(x *tensor.Matrix) *tensor.Matrix {
 // TrainForward is ForwardBatch with input caching.
 func (f *Flip) TrainForward(x *tensor.Matrix) *tensor.Matrix {
 	f.lastX = x
-	return f.ForwardBatch(x)
+	// forwardRowInto assigns every output element, so the reused buffer is safe.
+	y := ensure(&f.y, x.Rows, f.N)
+	for i := 0; i < x.Rows; i++ {
+		f.forwardRowInto(y.Row(i), x.Row(i))
+	}
+	return y
 }
+
+func (f *Flip) dropTrainState() { f.lastX, f.y, f.dx = nil, nil, nil }
 
 // Backward returns dX and, in soft mode, accumulates the gradient of the
 // raw soft weights. Gated relaxation: y = (1−s)·φ(u) + s·φ(−u) with
@@ -214,12 +222,11 @@ func (f *Flip) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	if f.lastX == nil {
 		panic("nn: Flip.Backward before TrainForward")
 	}
-	dx := tensor.GetMatrix(dy.Rows, dy.Cols)
-	copy(dx.Data, dy.Data)
+	dx := ensure(&f.dx, dy.Rows, dy.Cols)
 	for r := 0; r < dx.Rows; r++ {
 		row := dx.Row(r)
-		for j := range row {
-			row[j] *= f.Signs[j]
+		for j, g := range dy.Row(r) {
+			row[j] = g * f.Signs[j]
 		}
 	}
 	for i, j := range f.softIdx {

@@ -17,11 +17,16 @@ import (
 )
 
 // Param is a learnable parameter tensor with its gradient accumulator.
+//
+// A frozen parameter is skipped by optimizers, and every layer's Backward
+// skips its gradient work, so G stays untouched. The frozen views that
+// Network.CloneForKeys hands out share W with the source network and have
+// no gradient buffer at all (G is nil).
 type Param struct {
 	Name   string
 	W      *tensor.Matrix
 	G      *tensor.Matrix
-	Frozen bool // frozen parameters are skipped by optimizers
+	Frozen bool
 }
 
 // NewParam allocates a parameter and its gradient buffer.
@@ -29,8 +34,16 @@ func NewParam(name string, rows, cols int) *Param {
 	return &Param{Name: name, W: tensor.New(rows, cols), G: tensor.New(rows, cols)}
 }
 
-// ZeroGrad clears the gradient accumulator.
-func (p *Param) ZeroGrad() { p.G.Zero() }
+// frozenParam returns a frozen view of p: it shares p's weight matrix and
+// has no gradient buffer.
+func frozenParam(p *Param) *Param { return &Param{Name: p.Name, W: p.W, Frozen: true} }
+
+// ZeroGrad clears the gradient accumulator, if the parameter has one.
+func (p *Param) ZeroGrad() {
+	if p.G != nil {
+		p.G.Zero()
+	}
+}
 
 // Trace records the internal signals of one forward pass that the attack
 // consumes: the unsigned pre-activation entering every flip site (the
@@ -65,11 +78,21 @@ func (t *JVPTrace) HaveReLU(r int) bool {
 // Layer is the building block of a Network.
 //
 // Forward must be pure (safe for concurrent use); it records into tr when tr
-// is non-nil. TrainForward/Backward cache activations inside the layer and
-// are therefore single-goroutine, which matches how training and the
-// learning attack run. JVP propagates the value x together with the
-// Jacobian J (d_in × P) of x w.r.t. the network input, recording flip-site
-// Jacobians into jtr when non-nil.
+// is non-nil. JVP propagates the value x together with the Jacobian J
+// (d_in × P) of x w.r.t. the network input, recording flip-site Jacobians
+// into jtr when non-nil.
+//
+// TrainForward and Backward are the training passes. They keep state in the
+// layer (the cached input, activity masks, and the buffers they write into),
+// so one layer value serves one goroutine; Network.CloneForKeys gives each
+// clone its own layer values. Backward needs the preceding TrainForward's
+// input to stay unchanged until it returns. Both return a matrix the layer
+// owns and reslices on every call: a result is valid until that layer's
+// next call of the same method, and callers neither release it to the
+// workspace pool nor retain it. Layers that pass their argument through
+// (Flatten) return the caller's matrix instead. Backward skips the
+// gradient work of frozen parameters and computes dX in the same order
+// either way.
 type Layer interface {
 	Name() string
 	InSize() int
@@ -96,6 +119,39 @@ type siteRegistrar interface {
 // container is implemented by layers that hold sub-layers (Residual).
 type container interface {
 	subLayers() []Layer
+}
+
+// trainStateOwner is implemented by layers whose training passes keep
+// state: dropTrainState forgets the cached input and releases every buffer,
+// so the next TrainForward starts afresh.
+type trainStateOwner interface {
+	dropTrainState()
+}
+
+// dropTrainState drops the training state of every layer in ls, including
+// the sub-layers of containers.
+func dropTrainState(ls []Layer) {
+	for _, l := range ls {
+		if o, ok := l.(trainStateOwner); ok {
+			o.dropTrainState()
+		}
+	}
+}
+
+// ensure returns *cur resliced to rows×cols, allocating it on first use or
+// when a larger batch arrives. A training pass keeps one such buffer per
+// output, so after the first (largest) minibatch it allocates nothing. The
+// contents are whatever the previous call left: callers overwrite or clear
+// them.
+func ensure(cur **tensor.Matrix, rows, cols int) *tensor.Matrix {
+	m := *cur
+	if m == nil || cap(m.Data) < rows*cols {
+		m = tensor.New(rows, cols)
+		*cur = m
+	}
+	m.Rows, m.Cols = rows, cols
+	m.Data = m.Data[:rows*cols]
+	return m
 }
 
 func checkSize(layer string, want, got int) {

@@ -153,14 +153,15 @@ func (n *Network) ForwardTraceToReLU(x []float64, reluSite int) *Trace {
 
 // ForwardBatch computes logits for a batch (rows = examples). Consumed
 // intermediates are recycled through the workspace pool — no layer retains
-// its ForwardBatch result (unlike TrainForward, whose activations must
-// survive for Backward). The returned logits are the caller's to release
-// or abandon.
+// its ForwardBatch result (unlike TrainForward, whose results the layers
+// own). The returned logits are the caller's to release or abandon.
 func (n *Network) ForwardBatch(x *tensor.Matrix) *tensor.Matrix {
 	return forwardBatchChain(n.Layers, x)
 }
 
-// TrainForward runs the caching forward pass for training.
+// TrainForward runs the caching forward pass for training. The returned
+// logits belong to the last layer (see Layer): valid until the next
+// TrainForward, never released or retained by the caller.
 func (n *Network) TrainForward(x *tensor.Matrix) *tensor.Matrix {
 	for _, l := range n.Layers {
 		x = l.TrainForward(x)
@@ -168,13 +169,17 @@ func (n *Network) TrainForward(x *tensor.Matrix) *tensor.Matrix {
 	return x
 }
 
-// TrainBackward propagates the output gradient, accumulating parameter
-// gradients, and returns the input gradient. Consumed chain intermediates
-// are recycled through the workspace pool; the returned gradient is the
-// caller's to release (or abandon to the GC).
+// TrainBackward propagates the output gradient, accumulating the gradients
+// of unfrozen parameters, and returns the input gradient. Like every
+// training-pass result, the input gradient belongs to the first layer.
 func (n *Network) TrainBackward(dy *tensor.Matrix) *tensor.Matrix {
 	return backwardChain(n.Layers, dy)
 }
+
+// DropTrainState releases the training state of every layer: cached inputs
+// and the buffers the training passes write into. Call it when a training
+// loop ends, so the network keeps no per-minibatch storage.
+func (n *Network) DropTrainState() { dropTrainState(n.Layers) }
 
 // Params returns every parameter in the network.
 func (n *Network) Params() []*Param {
@@ -294,38 +299,6 @@ func (n *Network) SiteLayout() []SiteEvent {
 	}
 	walk(0, n.Layers)
 	return out
-}
-
-// CloneForKeys returns a network that shares every parameter with n except
-// the Flip layers, which are deep-copied so their signs can be set
-// independently. The clone is meant for read-only (inference/Jacobian) use
-// under alternative key hypotheses; do not train it.
-func (n *Network) CloneForKeys() *Network {
-	var cloneLayers func(ls []Layer) []Layer
-	cloneLayers = func(ls []Layer) []Layer {
-		out := make([]Layer, len(ls))
-		for i, l := range ls {
-			switch v := l.(type) {
-			case *Flip:
-				c := NewFlip(v.N)
-				copy(c.Signs, v.Signs)
-				if v.Offsets != nil {
-					c.Offsets = make([]float64, len(v.Offsets))
-					copy(c.Offsets, v.Offsets)
-				}
-				out[i] = c
-			case *Residual:
-				out[i] = &Residual{
-					Body:     cloneLayers(v.Body),
-					Shortcut: cloneLayers(v.Shortcut),
-				}
-			default:
-				out[i] = l
-			}
-		}
-		return out
-	}
-	return NewNetwork(cloneLayers(n.Layers)...)
 }
 
 // NumParams returns the total number of scalar parameters.

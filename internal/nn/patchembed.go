@@ -19,7 +19,10 @@ type PatchEmbed struct {
 	T       int // token count
 	Wt, B   *Param
 
-	lastX *tensor.Matrix // training cache
+	// Training-pass state (see Layer): the cached input, output buffers,
+	// and patch scratch.
+	lastX, y, dx *tensor.Matrix
+	buf, dbuf    []float64
 }
 
 // NewPatchEmbed constructs the embedding; H and W must be multiples of p.
@@ -91,7 +94,13 @@ func (pe *PatchEmbed) scatter(dst []float64, t int, src []float64) {
 // forwardOne embeds one example; bias optional for the linear tangent path.
 func (pe *PatchEmbed) forwardOne(x []float64, withBias bool) []float64 {
 	out := make([]float64, pe.OutSize())
-	buf := make([]float64, pe.C*pe.P*pe.P)
+	pe.forwardInto(x, out, make([]float64, pe.C*pe.P*pe.P), withBias)
+	return out
+}
+
+// forwardInto embeds one example into out (length OutSize), gathering each
+// patch into buf (length C·P·P).
+func (pe *PatchEmbed) forwardInto(x, out, buf []float64, withBias bool) {
 	brow := pe.B.W.Row(0)
 	for t := 0; t < pe.T; t++ {
 		pe.gather(x, t, buf)
@@ -103,7 +112,6 @@ func (pe *PatchEmbed) forwardOne(x []float64, withBias bool) []float64 {
 			out[t*pe.D+d] = v
 		}
 	}
-	return out
 }
 
 // Forward embeds one flat example.
@@ -119,36 +127,58 @@ func (pe *PatchEmbed) ForwardBatch(x *tensor.Matrix) *tensor.Matrix {
 
 // TrainForward is ForwardBatch with input caching.
 func (pe *PatchEmbed) TrainForward(x *tensor.Matrix) *tensor.Matrix {
+	checkSize("patch_embed", pe.InSize(), x.Cols)
 	pe.lastX = x
-	return pe.ForwardBatch(x)
+	if pe.buf == nil {
+		pe.buf = make([]float64, pe.C*pe.P*pe.P)
+		pe.dbuf = make([]float64, pe.C*pe.P*pe.P)
+	}
+	y := ensure(&pe.y, x.Rows, pe.OutSize())
+	for r := 0; r < x.Rows; r++ {
+		pe.forwardInto(x.Row(r), y.Row(r), pe.buf, true)
+	}
+	return y
 }
 
-// Backward accumulates projection gradients and returns dX.
+func (pe *PatchEmbed) dropTrainState() {
+	pe.lastX, pe.y, pe.dx, pe.buf, pe.dbuf = nil, nil, nil, nil, nil
+}
+
+// Backward accumulates projection gradients for unfrozen parameters and
+// returns dX. Frozen weights need no patch gather at all.
 func (pe *PatchEmbed) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	if pe.lastX == nil {
 		panic("nn: PatchEmbed.Backward before TrainForward")
 	}
-	dx := tensor.New(dy.Rows, pe.InSize())
-	buf := make([]float64, pe.C*pe.P*pe.P)
-	dbuf := make([]float64, pe.C*pe.P*pe.P)
+	dx := ensure(&pe.dx, dy.Rows, pe.InSize())
+	clear(dx.Data)
+	buf, dbuf := pe.buf, pe.dbuf
 	for r := 0; r < dy.Rows; r++ {
 		xr := pe.lastX.Row(r)
 		dyr := dy.Row(r)
 		dxr := dx.Row(r)
 		for t := 0; t < pe.T; t++ {
-			pe.gather(xr, t, buf)
-			for i := range dbuf {
-				dbuf[i] = 0
+			if !pe.Wt.Frozen {
+				pe.gather(xr, t, buf)
 			}
+			clear(dbuf)
 			for d := 0; d < pe.D; d++ {
 				g := dyr[t*pe.D+d]
 				//lint:ignore floatcmp exact-zero skip: adding a zero gradient term is a bit-exact no-op
 				if g == 0 {
 					continue
 				}
-				pe.B.G.Data[d] += g
-				wg := pe.Wt.G.Row(d)
+				if !pe.B.Frozen {
+					pe.B.G.Data[d] += g
+				}
 				wr := pe.Wt.W.Row(d)
+				if pe.Wt.Frozen {
+					for i, w := range wr {
+						dbuf[i] += g * w
+					}
+					continue
+				}
+				wg := pe.Wt.G.Row(d)
 				for i := range buf {
 					wg[i] += g * buf[i]
 					dbuf[i] += g * wr[i]

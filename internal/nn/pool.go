@@ -12,8 +12,10 @@ type MaxPool2D struct {
 	K, Stride   int
 	OutH, OutW  int
 
-	lastArg []int // training cache: flat input index of each output max
-	rows    int
+	// Training-pass state (see Layer): the flat input index of each output
+	// max, and the output buffers.
+	lastArg []int
+	y, dx   *tensor.Matrix
 }
 
 // NewMaxPool2D constructs a k×k max pool with the given stride.
@@ -121,13 +123,13 @@ func (m *MaxPool2D) ForwardBatch(x *tensor.Matrix) *tensor.Matrix {
 // TrainForward pools and caches argmax indices for Backward. The index
 // cache is reused across batches once grown to the largest batch seen.
 func (m *MaxPool2D) TrainForward(x *tensor.Matrix) *tensor.Matrix {
-	m.rows = x.Rows
 	need := x.Rows * m.OutSize()
 	if cap(m.lastArg) < need {
 		m.lastArg = make([]int, need)
 	}
 	m.lastArg = m.lastArg[:need]
-	out := tensor.New(x.Rows, m.OutSize())
+	// forwardArgInto assigns every output element, so the reused buffer is safe.
+	out := ensure(&m.y, x.Rows, m.OutSize())
 	for r := 0; r < x.Rows; r++ {
 		m.forwardArgInto(x.Row(r), out.Row(r), m.lastArg[r*m.OutSize():(r+1)*m.OutSize()])
 	}
@@ -139,7 +141,8 @@ func (m *MaxPool2D) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	if m.lastArg == nil {
 		panic("nn: MaxPool2D.Backward before TrainForward")
 	}
-	dx := tensor.GetMatrixZero(dy.Rows, m.InSize())
+	dx := ensure(&m.dx, dy.Rows, m.InSize())
+	clear(dx.Data)
 	for r := 0; r < dy.Rows; r++ {
 		dyr := dy.Row(r)
 		dxr := dx.Row(r)
@@ -150,6 +153,8 @@ func (m *MaxPool2D) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	}
 	return dx
 }
+
+func (m *MaxPool2D) dropTrainState() { m.lastArg, m.y, m.dx = nil, nil, nil }
 
 // JVP selects tangent rows by the value path's argmax (exact inside a linear
 // region, where the argmax is locally constant).
@@ -168,6 +173,8 @@ func (m *MaxPool2D) Params() []*Param { return nil }
 // GlobalAvgPool averages each channel's spatial plane into one scalar.
 type GlobalAvgPool struct {
 	C, H, W int
+
+	y, dx *tensor.Matrix // training-pass buffers (see Layer)
 }
 
 // NewGlobalAvgPool constructs the pool.
@@ -184,8 +191,14 @@ func (g *GlobalAvgPool) OutSize() int { return g.C }
 // Forward averages each channel.
 func (g *GlobalAvgPool) Forward(x []float64, _ *Trace) []float64 {
 	checkSize("global_avg_pool", g.InSize(), len(x))
-	plane := g.H * g.W
 	y := make([]float64, g.C)
+	g.forwardInto(x, y)
+	return y
+}
+
+// forwardInto averages each channel of x into y (length C).
+func (g *GlobalAvgPool) forwardInto(x, y []float64) {
+	plane := g.H * g.W
 	for c := 0; c < g.C; c++ {
 		s := 0.0
 		for i := c * plane; i < (c+1)*plane; i++ {
@@ -193,7 +206,6 @@ func (g *GlobalAvgPool) Forward(x []float64, _ *Trace) []float64 {
 		}
 		y[c] = s / float64(plane)
 	}
-	return y
 }
 
 // ForwardBatch averages each row's channels.
@@ -203,16 +215,23 @@ func (g *GlobalAvgPool) ForwardBatch(x *tensor.Matrix) *tensor.Matrix {
 
 // TrainForward is ForwardBatch (the map is linear; no cache needed).
 func (g *GlobalAvgPool) TrainForward(x *tensor.Matrix) *tensor.Matrix {
-	return g.ForwardBatch(x)
+	checkSize("global_avg_pool", g.InSize(), x.Cols)
+	y := ensure(&g.y, x.Rows, g.C)
+	for r := 0; r < x.Rows; r++ {
+		g.forwardInto(x.Row(r), y.Row(r))
+	}
+	return y
 }
+
+func (g *GlobalAvgPool) dropTrainState() { g.y, g.dx = nil, nil }
 
 // Backward spreads each channel gradient evenly over its plane.
 func (g *GlobalAvgPool) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	plane := g.H * g.W
 	inv := 1 / float64(plane)
-	// Every element of dx is assigned below, so the pooled buffer's
-	// arbitrary contents never show through.
-	dx := tensor.GetMatrix(dy.Rows, g.InSize())
+	// Every element of dx is assigned below, so the reused buffer's
+	// stale contents never show through.
+	dx := ensure(&g.dx, dy.Rows, g.InSize())
 	for r := 0; r < dy.Rows; r++ {
 		dyr := dy.Row(r)
 		dxr := dx.Row(r)
@@ -251,6 +270,8 @@ func (g *GlobalAvgPool) Params() []*Param { return nil }
 // V-Transformer's classification head input).
 type MeanTokens struct {
 	T, D int
+
+	y, dx *tensor.Matrix // training-pass buffers (see Layer)
 }
 
 // NewMeanTokens constructs the token average.
@@ -268,6 +289,12 @@ func (m *MeanTokens) OutSize() int { return m.D }
 func (m *MeanTokens) Forward(x []float64, _ *Trace) []float64 {
 	checkSize("mean_tokens", m.InSize(), len(x))
 	y := make([]float64, m.D)
+	m.forwardInto(x, y)
+	return y
+}
+
+// forwardInto averages the tokens of x into the zeroed y (length D).
+func (m *MeanTokens) forwardInto(x, y []float64) {
 	for t := 0; t < m.T; t++ {
 		for d := 0; d < m.D; d++ {
 			y[d] += x[t*m.D+d]
@@ -277,7 +304,6 @@ func (m *MeanTokens) Forward(x []float64, _ *Trace) []float64 {
 	for d := range y {
 		y[d] *= inv
 	}
-	return y
 }
 
 // ForwardBatch averages each row's tokens.
@@ -286,14 +312,24 @@ func (m *MeanTokens) ForwardBatch(x *tensor.Matrix) *tensor.Matrix {
 }
 
 // TrainForward is ForwardBatch (linear map).
-func (m *MeanTokens) TrainForward(x *tensor.Matrix) *tensor.Matrix { return m.ForwardBatch(x) }
+func (m *MeanTokens) TrainForward(x *tensor.Matrix) *tensor.Matrix {
+	checkSize("mean_tokens", m.InSize(), x.Cols)
+	y := ensure(&m.y, x.Rows, m.D)
+	clear(y.Data)
+	for r := 0; r < x.Rows; r++ {
+		m.forwardInto(x.Row(r), y.Row(r))
+	}
+	return y
+}
+
+func (m *MeanTokens) dropTrainState() { m.y, m.dx = nil, nil }
 
 // Backward spreads gradients evenly over tokens.
 func (m *MeanTokens) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	inv := 1 / float64(m.T)
-	// Every element of dx is assigned below, so the pooled buffer's
-	// arbitrary contents never show through.
-	dx := tensor.GetMatrix(dy.Rows, m.InSize())
+	// Every element of dx is assigned below, so the reused buffer's stale
+	// contents never show through.
+	dx := ensure(&m.dx, dy.Rows, m.InSize())
 	for r := 0; r < dy.Rows; r++ {
 		dyr := dy.Row(r)
 		dxr := dx.Row(r)

@@ -10,6 +10,8 @@ import (
 type Residual struct {
 	Body     []Layer
 	Shortcut []Layer // nil/empty means identity
+
+	y, dx *tensor.Matrix // training-pass buffers (see Layer)
 }
 
 // NewResidual constructs a residual block.
@@ -77,28 +79,30 @@ func (r *Residual) TrainForward(x *tensor.Matrix) *tensor.Matrix {
 	for _, l := range r.Shortcut {
 		s = l.TrainForward(s)
 	}
-	return tensor.Add(b, s)
+	return addInto(ensure(&r.y, b.Rows, b.Cols), b, s)
 }
 
 // Backward propagates through both paths and sums the input gradients.
-// Consumed chain intermediates go back to the workspace pool; no layer
-// retains the gradient it was handed (see backwardChain).
 func (r *Residual) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	db := backwardChain(r.Body, dy)
 	ds := backwardChain(r.Shortcut, dy)
-	// Same arithmetic as tensor.Add(db, ds): copy db, then one pass of +=.
-	dx := tensor.GetMatrix(db.Rows, db.Cols)
-	copy(dx.Data, db.Data)
-	for i, v := range ds.Data {
-		dx.Data[i] += v
+	return addInto(ensure(&r.dx, db.Rows, db.Cols), db, ds)
+}
+
+// addInto writes a + b into dst element by element (the arithmetic of
+// tensor.Add) and returns dst.
+func addInto(dst, a, b *tensor.Matrix) *tensor.Matrix {
+	bd := b.Data[:len(a.Data)]
+	for i, v := range a.Data {
+		dst.Data[i] = v + bd[i]
 	}
-	if db != dy {
-		tensor.PutMatrix(db)
-	}
-	if ds != dy && ds != db {
-		tensor.PutMatrix(ds)
-	}
-	return dx
+	return dst
+}
+
+func (r *Residual) dropTrainState() {
+	r.y, r.dx = nil, nil
+	dropTrainState(r.Body)
+	dropTrainState(r.Shortcut)
 }
 
 // forwardBatchChain folds ForwardBatch over layers, releasing each consumed
@@ -118,21 +122,13 @@ func forwardBatchChain(layers []Layer, x *tensor.Matrix) *tensor.Matrix {
 	return cur
 }
 
-// backwardChain folds Backward over layers in reverse, releasing each
-// consumed intermediate to the workspace pool. Safe because every layer's
-// Backward returns a buffer it does not retain, and identity layers
-// (Flatten) hand back their input unchanged, which is caught by pointer
-// equality. The caller's dy is never released.
+// backwardChain folds Backward over layers in reverse. Every intermediate
+// gradient belongs to the layer that produced it, so nothing is released.
 func backwardChain(layers []Layer, dy *tensor.Matrix) *tensor.Matrix {
-	cur := dy
 	for i := len(layers) - 1; i >= 0; i-- {
-		next := layers[i].Backward(cur)
-		if cur != dy && next != cur {
-			tensor.PutMatrix(cur)
-		}
-		cur = next
+		dy = layers[i].Backward(dy)
 	}
-	return cur
+	return dy
 }
 
 // JVP propagates value and tangent through both paths and sums them.

@@ -126,7 +126,8 @@ func (s *Slice) PrefixForward(x *tensor.Matrix) *tensor.Matrix {
 }
 
 // TrainForward runs the caching training forward pass over the suffix only.
-// h holds boundary activations (rows of a PrefixForward cache).
+// h holds boundary activations (rows of a PrefixForward cache). The result
+// belongs to the last layer (see Layer).
 func (s *Slice) TrainForward(h *tensor.Matrix) *tensor.Matrix {
 	for _, l := range s.net.Layers[s.cut:] {
 		h = l.TrainForward(h)
@@ -135,20 +136,9 @@ func (s *Slice) TrainForward(h *tensor.Matrix) *tensor.Matrix {
 }
 
 // Backward propagates the output gradient through the suffix, accumulating
-// parameter gradients, and stops at the slice boundary: no gradient flows
-// into the frozen prefix.
+// the gradients of unfrozen parameters, and stops at the slice boundary: no
+// gradient flows into the frozen prefix. On a CloneForKeys network only the
+// soft flip coefficients accumulate anything.
 func (s *Slice) Backward(dy *tensor.Matrix) {
-	if dx := backwardChain(s.net.Layers[s.cut:], dy); dx != dy {
-		tensor.PutMatrix(dx) // boundary gradient is dropped; recycle it
-	}
-}
-
-// ZeroGrad clears the gradients of suffix parameters. Prefix parameters
-// never accumulate gradient under a sliced fit, so they need no clearing.
-func (s *Slice) ZeroGrad() {
-	for _, l := range s.net.Layers[s.cut:] {
-		for _, p := range l.Params() {
-			p.ZeroGrad()
-		}
-	}
+	backwardChain(s.net.Layers[s.cut:], dy)
 }

@@ -155,7 +155,7 @@ func TestSlicedForwardBackwardEquivalence(t *testing.T) {
 			for i, p := range params {
 				gradsFull[i] = append([]float64(nil), p.G.Data...)
 			}
-			full.ZeroGrad()
+			net.ZeroGrad()
 
 			// Sliced pass over the cached prefix activations.
 			sl := net.Split(s)
@@ -179,7 +179,7 @@ func TestSlicedForwardBackwardEquivalence(t *testing.T) {
 					}
 				}
 			}
-			sl.ZeroGrad()
+			net.ZeroGrad()
 			for _, f := range net.Flips() {
 				f.Harden()
 			}
@@ -214,5 +214,44 @@ func TestPrefixForwardBatchIndependence(t *testing.T) {
 			tensor.PutMatrix(hr)
 		}
 		tensor.PutMatrix(whole)
+	}
+}
+
+// TestSliceZeroAllocMinibatch is the float64 twin of
+// TestEngine32ZeroAllocEpoch: on a CloneForKeys clone with every flip site
+// softened, once the first (full) minibatch has sized every layer's
+// buffers, the fit's steady state — a full and a partial minibatch through
+// the sliced forward and backward passes — allocates nothing. Kernels run
+// serially here; the worker-pool fan-out allocates its own task closures.
+func TestSliceZeroAllocMinibatch(t *testing.T) {
+	defer tensor.SetParallelism(tensor.Parallelism())
+	tensor.SetParallelism(1)
+	rng := rand.New(rand.NewSource(607))
+	for ni, src := range fuzzedSliceNets(rng) {
+		net := src.CloneForKeys()
+		params := softenFrom(net, 0, rng)
+		sl := net.Split(0)
+		x := randBatch(rng, 12, net.InSize())
+		h := sl.PrefixForward(x)
+		if h != x {
+			defer tensor.PutMatrix(h)
+		}
+		full := tensor.FromSlice(8, h.Cols, h.Data[:8*h.Cols])
+		part := tensor.FromSlice(4, h.Cols, h.Data[8*h.Cols:])
+		dyFull := randBatch(rng, 8, net.OutSize())
+		dyPart := randBatch(rng, 4, net.OutSize())
+		minibatches := func() {
+			sl.TrainForward(full)
+			sl.Backward(dyFull)
+			sl.TrainForward(part)
+			sl.Backward(dyPart)
+			for _, p := range params {
+				p.ZeroGrad()
+			}
+		}
+		minibatches()
+		if allocs := testing.AllocsPerRun(10, minibatches); allocs > 0 {
+			t.Errorf("net %d: steady-state minibatches allocate %.1f times", ni, allocs)
+		}
 	}
 }

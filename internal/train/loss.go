@@ -58,25 +58,28 @@ func MSEInto(grad, pred, target *tensor.Matrix) (loss float64) {
 	return loss / n
 }
 
-// MSESoftmax computes the MSE between softmax(pred) rows and target, and
-// the gradient w.r.t. the logits pred — the loss the learning attack uses
-// against an oracle that exposes softmax probabilities (§2.3). The softmax
-// map, the squared error, and the Jacobian pullback
+// MSESoftmaxInto computes the MSE between softmax(pred) rows and target,
+// and writes the gradient w.r.t. the logits pred into grad — the loss the
+// learning attack uses against an oracle that exposes softmax probabilities
+// (§2.3). The softmax map, the squared error, and the Jacobian pullback
 // dL/dz_i = p_i·(dL/dp_i − Σ_j p_j·dL/dp_j) are fused into one pass per
-// row; pred itself is left untouched. The gradient comes from the workspace
-// pool and must be released with tensor.PutMatrix.
+// row, with p (length pred.Cols) as the softmax scratch row; pred itself is
+// left untouched, and nothing is allocated.
 //
 // The arithmetic reproduces the unfused reference (SoftmaxInto, MSE, then
 // the per-row pullback) term for term in the same order, so results are
 // identical, not merely close.
-func MSESoftmax(pred, target *tensor.Matrix) (loss float64, grad *tensor.Matrix) {
+func MSESoftmaxInto(grad, pred, target *tensor.Matrix, p []float64) (loss float64) {
 	if pred.Rows != target.Rows || pred.Cols != target.Cols {
 		panic("train: MSESoftmax shape mismatch")
 	}
+	if grad.Rows != pred.Rows || grad.Cols != pred.Cols {
+		panic("train: MSESoftmax gradient shape mismatch")
+	}
+	if len(p) != pred.Cols {
+		panic("train: MSESoftmax scratch length mismatch")
+	}
 	n := float64(len(pred.Data))
-	grad = tensor.GetMatrix(pred.Rows, pred.Cols)
-	p := tensor.GetVec(pred.Cols)
-	defer tensor.PutVec(p)
 	for r := 0; r < pred.Rows; r++ {
 		tensor.SoftmaxInto(p, pred.Row(r))
 		gr := grad.Row(r)
@@ -93,7 +96,7 @@ func MSESoftmax(pred, target *tensor.Matrix) (loss float64, grad *tensor.Matrix)
 			gr[c] = p[c] * (gr[c] - dot)
 		}
 	}
-	return loss / n, grad
+	return loss / n
 }
 
 // Accuracy returns the fraction of rows whose argmax matches the label.

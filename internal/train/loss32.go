@@ -33,12 +33,12 @@ func MSEInto32(grad, pred, target *tensor.Mat[float32]) (loss float64) {
 	return loss / n
 }
 
-// MSESoftmax32 is the float32 MSESoftmax: MSE between softmax(pred) rows
-// and target, with the logit gradient fused per row via the softmax
-// Jacobian pullback dL/dz_i = p_i·(dL/dp_i − Σ_j p_j·dL/dp_j). Unlike
-// MSESoftmax it writes into a caller-provided gradient and scratch row so
-// the epoch loop stays allocation-free; exp runs through float64 math.Exp
-// (there is no float32 libm in the stdlib) and is demoted afterwards.
+// MSESoftmax32 is the float32 MSESoftmaxInto: MSE between softmax(pred)
+// rows and target, with the logit gradient fused per row via the softmax
+// Jacobian pullback dL/dz_i = p_i·(dL/dp_i − Σ_j p_j·dL/dp_j), written into
+// a caller-provided gradient and scratch row so the epoch loop stays
+// allocation-free; exp runs through float64 math.Exp (there is no float32
+// libm in the stdlib) and is demoted afterwards.
 func MSESoftmax32(grad, pred, target *tensor.Mat[float32], p []float32) (loss float64) {
 	if pred.Rows != target.Rows || pred.Cols != target.Cols {
 		panic("train: MSESoftmax shape mismatch")

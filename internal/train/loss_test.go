@@ -59,7 +59,8 @@ func TestMSESoftmaxMatchesUnfusedReference(t *testing.T) {
 			}
 		}
 
-		loss, grad := MSESoftmax(pred, target)
+		grad := tensor.New(rows, cols)
+		loss := MSESoftmaxInto(grad, pred, target, make([]float64, cols))
 		if loss != wantLoss {
 			t.Fatalf("trial %d: loss %v != %v", trial, loss, wantLoss)
 		}
@@ -70,9 +71,8 @@ func TestMSESoftmaxMatchesUnfusedReference(t *testing.T) {
 		}
 		for i := range pred.Data {
 			if pred.Data[i] != predSave.Data[i] {
-				t.Fatalf("trial %d: MSESoftmax mutated its input at %d", trial, i)
+				t.Fatalf("trial %d: MSESoftmaxInto mutated its input at %d", trial, i)
 			}
 		}
-		tensor.PutMatrix(grad)
 	}
 }

@@ -175,3 +175,35 @@ func TestEvaluateMatchesAccuracy(t *testing.T) {
 		t.Fatal("Evaluate disagrees with Accuracy")
 	}
 }
+
+// TestOptimizersSkipFrozenCloneParams checks that both optimizers accept
+// the frozen weight views of a CloneForKeys clone, which have no gradient
+// buffer: a step leaves the shared weights untouched and does not panic.
+func TestOptimizersSkipFrozenCloneParams(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	d := nn.NewDense(3, 2).InitHe(rng)
+	clone := nn.NewNetwork(d).CloneForKeys()
+	before := d.W.W.Clone()
+	for _, opt := range []Optimizer{NewSGD(0.1, 0.9), NewAdam(0.1)} {
+		clone.ZeroGrad()
+		opt.Step(clone.Params())
+	}
+	if !tensor.Equal(before, d.W.W, 0) {
+		t.Fatal("an optimizer step moved frozen clone weights")
+	}
+}
+
+// TestFitDropsTrainState checks that Fit leaves no training state in the
+// network it trained: a backward pass needs a fresh TrainForward.
+func TestFitDropsTrainState(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	x, y := linearlySeparableData(rng, 40, 3)
+	net := nn.NewNetwork(nn.NewDense(3, 4).InitHe(rng), nn.NewReLU(4), nn.NewDense(4, 2).InitHe(rng))
+	Fit(net, x, y, x, y, Config{Epochs: 1, BatchSize: 8, Optimizer: NewAdam(0.01), Seed: 1})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("TrainBackward after Fit found cached training state")
+		}
+	}()
+	net.TrainBackward(tensor.New(1, 2))
+}

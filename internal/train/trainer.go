@@ -30,11 +30,14 @@ type Result struct {
 }
 
 // Fit trains net on (x, y) classification data with softmax cross-entropy,
-// evaluating on (xTest, yTest) after each epoch.
+// evaluating on (xTest, yTest) after each epoch. The network's training
+// state is dropped on return, so a trained network keeps no per-minibatch
+// buffers.
 func Fit(net *nn.Network, x *tensor.Matrix, y []int, xTest *tensor.Matrix, yTest []int, cfg Config) Result {
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 32
 	}
+	defer net.DropTrainState()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	n := x.Rows
 	perm := make([]int, n)
@@ -66,9 +69,7 @@ func Fit(net *nn.Network, x *tensor.Matrix, y []int, xTest *tensor.Matrix, yTest
 			}
 			logits := net.TrainForward(bx)
 			loss, grad := SoftmaxCrossEntropy(logits, by)
-			if dx := net.TrainBackward(grad); dx != grad {
-				tensor.PutMatrix(dx) // input gradient is unused; recycle it
-			}
+			net.TrainBackward(grad)
 			cfg.Optimizer.Step(params)
 			epochLoss += loss
 			batches++

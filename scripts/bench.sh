@@ -14,10 +14,12 @@ cd "$(dirname "$0")/.."
 # BenchmarkDecryptTracer{Off,On} ride along so the BENCH json always
 # records the observability layer's overhead next to the numbers it could
 # perturb (DESIGN.md §12), the planner ablations so the oracle_rounds
-# trade-offs (DESIGN.md §14) stay tracked next to the default path, and
-# BenchmarkFarm* so the predicted attack wall-clock on the simulated device
-# farm (farm_wallclock_s, DESIGN.md §16) is gated like oracle_rounds.
-PATTERN="${BENCH_PATTERN:-BenchmarkTable1|BenchmarkFigure3|BenchmarkDecryptTracer|BenchmarkFarm|BenchmarkAblation(Default|NoPlanner|Multisect4|ProbeCache)\$}"
+# trade-offs (DESIGN.md §14) stay tracked next to the default path, the
+# float32/float64 training ablations so what the float32 tier buys over the
+# exact fit (DESIGN.md §13) stays measured, and BenchmarkFarm* so the
+# predicted attack wall-clock on the simulated device farm
+# (farm_wallclock_s, DESIGN.md §16) is gated like oracle_rounds.
+PATTERN="${BENCH_PATTERN:-BenchmarkTable1|BenchmarkFigure3|BenchmarkDecryptTracer|BenchmarkFarm|BenchmarkAblation(Default|NoPlanner|Multisect4|ProbeCache|Float32Training|Float64Training)\$}"
 BTIME="${BENCH_TIME:-1x}"
 DATE="$(date +%Y-%m-%d)"
 OUT="BENCH_${DATE}.json"

@@ -16,6 +16,14 @@ cd "$(dirname "$0")/.."
 echo "==> go vet ./..."
 go vet ./...
 
+echo "==> gofmt -l ."
+UNFORMATTED="$(gofmt -l .)"
+if [ -n "$UNFORMATTED" ]; then
+	echo "gofmt: these files need formatting (run gofmt -w):" >&2
+	printf '%s\n' "$UNFORMATTED" >&2
+	exit 1
+fi
+
 echo "==> dnnlint ./... (pool, determinism, floatcmp, nakedgo, pkgdoc, queryseam, errflow, spanpair, golife invariants)"
 go run ./cmd/dnnlint ./...
 
