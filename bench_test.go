@@ -18,7 +18,6 @@ package dnnlock_test
 import (
 	"io"
 	"math/rand"
-	"os"
 	"testing"
 	"time"
 
@@ -33,25 +32,10 @@ import (
 	"dnnlock/internal/tensor"
 )
 
-// benchPrecision resolves the training precision of the Table 1 cell
-// benchmarks. The speed tier (float32) is the default — it is the
-// configuration whose end-to-end time the bench suite tracks — and
-// DNNLOCK_TRAIN_PRECISION=float64 pins the exact reference tier instead
-// (bench.sh records the choice in the BENCH_<date>.json header). Either
-// way the reported dec_fidelity_% and dec_queries metrics must not move:
-// that is the precision-parity property under benchmark load.
-func benchPrecision() core.Precision {
-	if os.Getenv("DNNLOCK_TRAIN_PRECISION") == "float64" {
-		return core.Float64
-	}
-	return core.Float32
-}
-
 // benchCell runs one tiny-scale Table 1 cell and reports its metrics.
 func benchCell(b *testing.B, model string, bits int) {
 	sc := harness.TinyScale()
 	sc.KeySizes = map[string][]int{model: {bits}}
-	sc.AttackCfg.TrainPrecision = benchPrecision()
 	var last harness.Table1Row
 	for i := 0; i < b.N; i++ {
 		rows, err := harness.RunTable1(sc, []string{model}, nil)
@@ -202,15 +186,11 @@ func BenchmarkAblationUnsliced(b *testing.B) {
 	// BenchmarkAblationDefault is the cache's contribution.
 	benchDecrypt(b, "mlp", 8, func(c *core.Config) { c.DisableSlicing = true })
 }
-func BenchmarkAblationFloat32Training(b *testing.B) {
-	// The learning attack's float32 speed tier on the learning-heavy LeNet
-	// cell; the gap to BenchmarkAblationFloat64Training is what the tier
-	// buys (DESIGN.md §13). Fidelity is asserted at 1 inside benchDecrypt,
-	// so a parity break fails the benchmark rather than hiding in a metric.
-	benchDecrypt(b, "lenet", 6, func(c *core.Config) { c.TrainPrecision = core.Float32 })
-}
 func BenchmarkAblationFloat64Training(b *testing.B) {
-	benchDecrypt(b, "lenet", 6, func(c *core.Config) { c.TrainPrecision = core.Float64 })
+	// The exact float64 learning fit on the learning-heavy LeNet cell
+	// (DESIGN.md §13); the name predates the removal of the float32 tier
+	// and keys the benchmark history.
+	benchDecrypt(b, "lenet", 6, nil)
 }
 
 // Query-planner trade-offs. BenchmarkAblationNoPlanner is the pre-planner

@@ -7,8 +7,8 @@
 //
 //	dnnlock lock   -model mlp -bits 32 -out locked.json -keyout key.txt [-epochs 4] [-examples 1500] [-seed 1] [-scheme negation|scaling|bias-shift|weight-perturb -alpha 0.5]
 //	dnnlock attack -in locked.json -keyfile key.txt [-monolithic] [-seed 1]
-//	dnnlock bench  -exp table1|figure3|all [-scale tiny|quick|paper] [-models mlp,lenet] [-keysizes 16,32] [-f32] [-multisect k] [-probe-cache] [-csv rows.csv] [-seed 1]
-//	dnnlock table1 -model mlp [-scale tiny|quick|paper] [-keysizes 16,32] [-f32] [-multisect k] [-probe-cache] [-cellworkers n] [-csv rows.csv] [-trace out.jsonl] [-pprof :6060] [-v] [-seed 1]
+//	dnnlock bench  -exp table1|figure3|all [-scale tiny|quick|paper] [-models mlp,lenet] [-keysizes 16,32] [-multisect k] [-probe-cache] [-csv rows.csv] [-seed 1]
+//	dnnlock table1 -model mlp [-scale tiny|quick|paper] [-keysizes 16,32] [-multisect k] [-probe-cache] [-cellworkers n] [-csv rows.csv] [-trace out.jsonl] [-pprof :6060] [-v] [-seed 1]
 //	dnnlock trace  -in out.jsonl [-check] [-cover 0.5] [-depth 3]
 //	dnnlock robust -model mlp -bits 8 [-scale tiny|quick|paper] [-sigmas 0,1e-4,1e-3] [-qbits 24,16,10] [-csv rows.csv] [-seed 1]
 //	dnnlock farm   -model mlp -bits 8 [-scale tiny|quick|paper] [-devices 1000] [-rtts 1ms,20ms,100ms] [-bws 0,10,1] [-loss 0,0.01] [-mixes clean,mixed] [-csv rows.csv] [-seed 1]
@@ -248,7 +248,6 @@ func cmdBench(args []string) error {
 	modelsFlag := fs.String("models", "mlp,lenet,resnet,vtransformer", "comma-separated model list")
 	keysizes := fs.String("keysizes", "", "override key sizes for all models, e.g. 16,32")
 	csvPath := fs.String("csv", "", "also write Table 1 rows to this CSV file")
-	f32 := fs.Bool("f32", false, "train the learning attack in float32 (speed tier; recovered keys are unchanged)")
 	multisect := fs.Int("multisect", 0, "k-way multisection in the critical-point search (0/1 = bisection; trades more probes for fewer rounds)")
 	probeCache := fs.Bool("probe-cache", false, "memoize oracle probes by input (changes query counts; rounds and fidelity only improve)")
 	seed := fs.Int64("seed", 1, "experiment seed")
@@ -260,9 +259,6 @@ func cmdBench(args []string) error {
 		return err
 	}
 	sc.Seed = *seed
-	if *f32 {
-		sc.AttackCfg.TrainPrecision = core.Float32
-	}
 	sc.AttackCfg.Multisect = *multisect
 	sc.AttackCfg.ProbeCache = *probeCache
 	if err := applyKeySizes(&sc, *keysizes); err != nil {
@@ -322,7 +318,6 @@ func cmdTable1(args []string) error {
 	tracePath := fs.String("trace", "", "export a JSONL span trace to this file")
 	pprofAddr := fs.String("pprof", "", "serve net/http/pprof on this address, e.g. :6060")
 	verbose := fs.Bool("v", false, "structured debug logging to stderr (same as DNNLOCK_LOG=debug)")
-	f32 := fs.Bool("f32", false, "train the learning attack in float32 (speed tier; recovered keys are unchanged)")
 	multisect := fs.Int("multisect", 0, "k-way multisection in the critical-point search (0/1 = bisection; trades more probes for fewer rounds)")
 	probeCache := fs.Bool("probe-cache", false, "memoize oracle probes by input (changes query counts; rounds and fidelity only improve)")
 	cellWorkers := fs.Int("cellworkers", 0, "concurrent Table 1 cells (0 = DNNLOCK_PROCS/CPU count, 1 = serial)")
@@ -335,9 +330,6 @@ func cmdTable1(args []string) error {
 		return err
 	}
 	sc.Seed = *seed
-	if *f32 {
-		sc.AttackCfg.TrainPrecision = core.Float32
-	}
 	sc.AttackCfg.Multisect = *multisect
 	sc.AttackCfg.ProbeCache = *probeCache
 	sc.CellWorkers = *cellWorkers

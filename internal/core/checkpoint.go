@@ -170,8 +170,19 @@ func (ck *Checkpoint) validateFor(spec hpnn.LockSpec, cfg Config) error {
 		return fmt.Errorf("core: checkpoint bit arrays sized %d/%d/%d/%d, want %d",
 			len(ck.Decided), len(ck.Key), len(ck.Confidence), len(ck.Origins), n)
 	}
-	if nSites := len(spec.SiteBits()); ck.SitesDone < 0 || ck.SitesDone > nSites {
-		return fmt.Errorf("core: checkpoint sites_done %d out of range [0,%d]", ck.SitesDone, nSites)
+	siteBits := spec.SiteBits()
+	if ck.SitesDone < 0 || ck.SitesDone > len(siteBits) {
+		return fmt.Errorf("core: checkpoint sites_done %d out of range [0,%d]", ck.SitesDone, len(siteBits))
+	}
+	for _, b := range ck.PendingBits {
+		if b < 0 || b >= n {
+			return fmt.Errorf("core: checkpoint pending bit %d out of range [0,%d)", b, n)
+		}
+	}
+	for _, s := range ck.PendingSites {
+		if _, ok := siteBits[s]; !ok {
+			return fmt.Errorf("core: checkpoint pending site %d is not a site of the lock spec", s)
+		}
 	}
 	return nil
 }

@@ -221,6 +221,43 @@ func TestCheckpointValidation(t *testing.T) {
 			t.Fatal("seed drift not rejected")
 		}
 	})
+	// corrupt returns a deep copy of ck with mutate applied.
+	corrupt := func(t *testing.T, mutate func(*Checkpoint)) *Checkpoint {
+		raw, _ := ck.Marshal()
+		bad, err := UnmarshalCheckpoint(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mutate(bad)
+		return bad
+	}
+	t.Run("pending_bits", func(t *testing.T) {
+		for _, b := range []int{999, -1} {
+			// Wrong decided bits with zero confidence make the resumed group
+			// fail validation and relearn its pending bits, which is where an
+			// unchecked index would panic.
+			bad := corrupt(t, func(c *Checkpoint) {
+				for i := range c.Decided {
+					if c.Decided[i] {
+						c.Key[i] = !c.Key[i]
+						c.Confidence[i] = 0
+					}
+				}
+				c.PendingBits = []int{b}
+			})
+			if _, err := Resume(white, spec, orc, DefaultConfig(), bad); err == nil {
+				t.Fatalf("pending bit %d not rejected", b)
+			}
+		}
+	})
+	t.Run("pending_sites", func(t *testing.T) {
+		for _, s := range []int{99, -3} {
+			bad := corrupt(t, func(c *Checkpoint) { c.PendingSites = []int{s} })
+			if _, err := Resume(white, spec, orc, DefaultConfig(), bad); err == nil {
+				t.Fatalf("pending site %d not rejected", s)
+			}
+		}
+	})
 	t.Run("probecache", func(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.ProbeCache = true

@@ -30,34 +30,14 @@ import (
 	"dnnlock/internal/tensor"
 )
 
-// Precision selects the arithmetic width of the learning attack's
-// training loop (§3.6). Everything else — key-bit inference, validation,
-// error correction, the oracle boundary — always runs exact float64.
-type Precision int
-
-// Training precisions. Float64 is the zero value, so an unset Config keeps
-// the paper-exact reference path.
-const (
-	// Float64 is the exact reference tier: bit-identical to the paper's
-	// arithmetic, covered by the bit-identity property tests.
-	Float64 Precision = iota
-	// Float32 is the speed tier (DESIGN.md §13): suffix forward/backward in
-	// float32 over arena-backed workspaces, with the soft key coefficients
-	// kept as float64 masters so the optimizer, stop rules and hardening are
-	// shared with the exact tier. Falls back to Float64 on any suffix layer
-	// without a float32 shadow.
-	Float32
-)
+// Precision names the arithmetic of the learning attack's training loop
+// (§3.6). The fit, like every other procedure, runs exact float64, so
+// Precision has one value and selects nothing; it survives so that result
+// headers keep recording "float64".
+type Precision struct{}
 
 // String names the precision.
-func (p Precision) String() string {
-	switch p {
-	case Float32:
-		return "float32"
-	default:
-		return "float64"
-	}
-}
+func (Precision) String() string { return "float64" }
 
 // Config tunes the attack. Zero values are replaced by the defaults below.
 type Config struct {
@@ -97,11 +77,7 @@ type Config struct {
 	// many consecutive epochs (the attacker-observable form of the
 	// paper's stop rule ii).
 	PlateauEpochs int
-	// TrainPrecision selects the arithmetic width of the fit's forward and
-	// backward passes. The default Float64 reproduces the paper exactly;
-	// Float32 trades bit-identity of the training trajectory for roughly
-	// half the memory traffic while recovering the same key bits (enforced
-	// by the precision-parity property test).
+	// TrainPrecision records the fit's arithmetic; it is always float64.
 	TrainPrecision Precision
 
 	// ValidationNeurons caps how many next-layer neurons vote per

@@ -7,6 +7,7 @@ import (
 	"dnnlock/internal/hpnn"
 	"dnnlock/internal/models"
 	"dnnlock/internal/nn"
+	"dnnlock/internal/oracle"
 )
 
 // runDecrypt locks the network, runs the full Algorithm 2 attack, and
@@ -95,6 +96,27 @@ func TestDecryptTinyVTransformer(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(60))
 	runDecrypt(t, models.TinyVTransformer(rng), 6, 61, DefaultConfig())
+}
+
+// TestDecryptFuzzedArchitectures runs the full Algorithm 2 attack on every
+// architecture family of fuzzedEquivNets — tiny LeNet, ResNet and ViT plus
+// three random-shape MLPs — and requires exact key recovery on each.
+func TestDecryptFuzzedArchitectures(t *testing.T) {
+	seedRng := rand.New(rand.NewSource(703))
+	for bi, build := range fuzzedEquivNets(seedRng) {
+		rng := rand.New(rand.NewSource(int64(900 + bi)))
+		net := build(rng)
+		lm, key := hpnn.Lock(net, hpnn.Config{Scheme: hpnn.Negation, KeyBits: 6, Rng: rng})
+		cfg := DefaultConfig()
+		cfg.Seed = 11
+		res, err := Run(lm.WhiteBox(), lm.Spec, oracle.New(lm, key), cfg)
+		if err != nil {
+			t.Fatalf("net %d: %v", bi, err)
+		}
+		if fid := res.Key.Fidelity(key); fid != 1 {
+			t.Fatalf("net %d: attack fidelity %.3f", bi, fid)
+		}
+	}
 }
 
 func TestDecryptRecordsBreakdown(t *testing.T) {

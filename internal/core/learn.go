@@ -103,14 +103,6 @@ func fitSoft(net *nn.Network, sites []softSite, x, y *tensor.Matrix, cfg Config,
 	if !cfg.DisableSlicing {
 		sl = net.Split(firstSite)
 	}
-	// Speed tier (DESIGN.md §13): identical structure, float32 suffix
-	// kernels, float64 soft-coefficient masters. Falls through to the exact
-	// loop below if any suffix layer lacks a float32 shadow.
-	if cfg.TrainPrecision == Float32 {
-		if fitSoft32(sl, sites, x, y, cfg, rng, softmax, epochCb) {
-			return
-		}
-	}
 	n := x.Rows
 	perm := rng.Perm(n)
 	// Frozen-prefix activation cache, evaluated once per query set.
@@ -225,7 +217,7 @@ func (st *fitStep) run(idx []int) float64 {
 // reslice shrinks (or restores) a workspace's row count in place; the
 // backing storage keeps its full capacity, so unlike FromSlice no header
 // escapes to the heap per minibatch.
-func reslice[T tensor.Float](m *tensor.Mat[T], rows int) *tensor.Mat[T] {
+func reslice(m *tensor.Matrix, rows int) *tensor.Matrix {
 	m.Rows = rows
 	m.Data = m.Data[:rows*m.Cols]
 	return m

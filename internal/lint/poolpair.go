@@ -7,13 +7,13 @@ import (
 )
 
 // PoolPair enforces the workspace-pool ownership contract (DESIGN.md §8):
-// every matrix, vector, or float32 arena obtained from the pool —
-// tensor.GetMatrix / GetMatrixZero / GetVec / GetArena32, and the
-// pool-recycled results of oracle.QueryBatch, dataset.UniformInputs, and
-// nn.Slice.PrefixForward — must be handed back with tensor.PutMatrix /
-// PutVec / PutArena32 on every path through the acquiring function, or
-// explicitly leave the function: returned to the caller, or stored into a
-// longer-lived structure on a line annotated //lint:transfer.
+// every matrix or vector obtained from the pool — tensor.GetMatrix /
+// GetMatrixZero / GetVec, and the pool-recycled results of
+// oracle.QueryBatch, dataset.UniformInputs, and nn.Slice.PrefixForward —
+// must be handed back with tensor.PutMatrix / PutVec on every path
+// through the acquiring function, or explicitly leave the function:
+// returned to the caller, or stored into a longer-lived structure on a
+// line annotated //lint:transfer.
 //
 // The analysis runs on the shared control-flow graph (cfg.go): the
 // acquisition generates an obligation, releases and escapes discharge it,
@@ -32,14 +32,14 @@ var PoolPair = &Analyzer{
 // names are matched by the defining package of the method object, so
 // aliased imports and embedded forwarding resolve correctly.
 var getFuncs = map[string]map[string]bool{
-	"dnnlock/internal/tensor":  {"GetMatrix": true, "GetMatrixZero": true, "GetVec": true, "GetArena32": true},
+	"dnnlock/internal/tensor":  {"GetMatrix": true, "GetMatrixZero": true, "GetVec": true},
 	"dnnlock/internal/oracle":  {"QueryBatch": true},
 	"dnnlock/internal/dataset": {"UniformInputs": true},
 	"dnnlock/internal/nn":      {"PrefixForward": true},
 }
 
 var putFuncs = map[string]map[string]bool{
-	"dnnlock/internal/tensor": {"PutMatrix": true, "PutVec": true, "PutArena32": true},
+	"dnnlock/internal/tensor": {"PutMatrix": true, "PutVec": true},
 }
 
 func runPoolPair(p *Pass) {
@@ -120,7 +120,7 @@ func analyzeRegion(p *Pass, body *ast.BlockStmt) {
 			continue // a deferred Put covers every exit
 		}
 		if !hasEvent[i] {
-			p.Report(acq.call.Pos(), "result of %s is never released: missing tensor.PutMatrix/PutVec/PutArena32, return, or //lint:transfer", acq.name)
+			p.Report(acq.call.Pos(), "result of %s is never released: missing tensor.PutMatrix/PutVec, return, or //lint:transfer", acq.name)
 			continue
 		}
 		p.reportLeakPaths(g, res, prob, i, acq)

@@ -88,20 +88,6 @@ func storedLaterWithoutTransfer(c *cache) {
 	c.buf = m // want "m obtained from tensor.GetMatrix is stored outside the function without //lint:transfer"
 }
 
-func leakArena() int {
-	ar := tensor.GetArena32() // want "result of tensor.GetArena32 is never released"
-	return len(ar.Alloc(8))
-}
-
-func leakArenaOnEarlyReturn(cond bool) int {
-	ar := tensor.GetArena32()
-	if cond {
-		return -1 // want "tensor.GetArena32 acquired at line .* may leak on this return path"
-	}
-	tensor.PutArena32(ar)
-	return 0
-}
-
 func leakOnFallThrough(cond bool) {
 	m := tensor.GetMatrix(2, 2) // want "not released on the fall-through path"
 	if cond {
@@ -187,24 +173,6 @@ func transferAnnotatedLater(c *cache) {
 func (c *cache) drop() {
 	tensor.PutMatrix(c.buf)
 	c.buf = nil
-}
-
-// arenaDeferReleased mirrors core.fitSoft32: one arena per training run,
-// released by defer so every exit is covered.
-func arenaDeferReleased(cond bool) int {
-	ar := tensor.GetArena32()
-	defer tensor.PutArena32(ar)
-	if cond {
-		return -1
-	}
-	return len(ar.Alloc(16))
-}
-
-func arenaReleasedInline() int {
-	ar := tensor.GetArena32()
-	n := len(ar.Alloc(4))
-	tensor.PutArena32(ar)
-	return n
 }
 
 func queryReleased(o *oracle.Oracle, x *tensor.Matrix) int {

@@ -21,13 +21,3 @@ func GetVec(n int) []float64 { return make([]float64, n) }
 func PutMatrix(ms ...*Matrix) {}
 
 func PutVec(v []float64) {}
-
-type Arena32 struct {
-	buf []float32
-}
-
-func GetArena32() *Arena32 { return &Arena32{} }
-
-func PutArena32(a *Arena32) {}
-
-func (a *Arena32) Alloc(n int) []float32 { return make([]float32, n) }

@@ -217,8 +217,7 @@ func TestPrefixForwardBatchIndependence(t *testing.T) {
 	}
 }
 
-// TestSliceZeroAllocMinibatch is the float64 twin of
-// TestEngine32ZeroAllocEpoch: on a CloneForKeys clone with every flip site
+// TestSliceZeroAllocMinibatch: on a CloneForKeys clone with every flip site
 // softened, once the first (full) minibatch has sized every layer's
 // buffers, the fit's steady state — a full and a partial minibatch through
 // the sliced forward and backward passes — allocates nothing. Kernels run

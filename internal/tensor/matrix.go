@@ -1,7 +1,10 @@
 // Package tensor provides the dense linear algebra substrate used by the
 // network framework and the attack: row-major matrices, basic BLAS-like
 // operations, and the decompositions (LU, Cholesky, QR, SVD) behind the
-// minimum-norm least-squares solver of Algorithm 1.
+// minimum-norm least-squares solver of Algorithm 1. Every element is a
+// float64: the attack is defined in exact IEEE double arithmetic, and the
+// kernels fix each result's accumulation order, so values are bit-identical
+// at every parallelism level.
 package tensor
 
 import (
@@ -9,47 +12,26 @@ import (
 	"math"
 )
 
-// Float is the element width of the kernel tier. float64 is the exact
-// reference arithmetic every paper-facing result is defined in; float32 is
-// the raw-speed tier used only where DESIGN.md §13 allows numerical drift
-// (the learning attack's training loop).
-type Float interface {
-	float32 | float64
-}
-
-// Mat is a dense row-major matrix over either element width. All kernels
-// below are generic over Mat[T]; the float64 instantiation executes the
-// exact same IEEE operations in the exact same order as the historical
-// float64-only code, so the bit-identity guarantees are untouched.
-type Mat[T Float] struct {
+// Matrix is a dense row-major float64 matrix.
+type Matrix struct {
 	Rows, Cols int
-	Data       []T // len == Rows*Cols, element (i,j) at Data[i*Cols+j]
+	Data       []float64 // len == Rows*Cols, element (i,j) at Data[i*Cols+j]
 }
 
-// Matrix is the exact float64 matrix — the element type of every paper-
-// facing code path. It is an alias (not a wrapper) of Mat[float64], so the
-// generic kernels and the historical float64 API are one and the same.
-type Matrix = Mat[float64]
-
-// New returns a zeroed Rows×Cols float64 matrix.
+// New returns a zeroed Rows×Cols matrix.
 func New(rows, cols int) *Matrix {
-	return NewOf[float64](rows, cols)
-}
-
-// NewOf returns a zeroed Rows×Cols matrix of the given element width.
-func NewOf[T Float](rows, cols int) *Mat[T] {
 	if rows < 0 || cols < 0 {
 		panic(fmt.Sprintf("tensor: negative dimensions %dx%d", rows, cols))
 	}
-	return &Mat[T]{Rows: rows, Cols: cols, Data: make([]T, rows*cols)}
+	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
 // FromSlice wraps data (not copied) as a rows×cols matrix.
-func FromSlice[T Float](rows, cols int, data []T) *Mat[T] {
+func FromSlice(rows, cols int, data []float64) *Matrix {
 	if len(data) != rows*cols {
 		panic(fmt.Sprintf("tensor: FromSlice length %d != %d*%d", len(data), rows, cols))
 	}
-	return &Mat[T]{Rows: rows, Cols: cols, Data: data}
+	return &Matrix{Rows: rows, Cols: cols, Data: data}
 }
 
 // Identity returns the n×n identity matrix.
@@ -71,31 +53,17 @@ func Diag(d []float64) *Matrix {
 	return m
 }
 
-// ConvertInto copies src into dst element-wise, casting between widths
-// (same shape required). This is the one-time boundary crossing of the
-// float32 tier: prefix activations and labels demote once per training run,
-// never per minibatch.
-func ConvertInto[D, S Float](dst *Mat[D], src *Mat[S]) {
-	if dst.Rows != src.Rows || dst.Cols != src.Cols {
-		panic(fmt.Sprintf("tensor: ConvertInto shape mismatch %dx%d <- %dx%d",
-			dst.Rows, dst.Cols, src.Rows, src.Cols))
-	}
-	for i, v := range src.Data {
-		dst.Data[i] = D(v)
-	}
-}
-
 // At returns element (i, j).
-func (m *Mat[T]) At(i, j int) T { return m.Data[i*m.Cols+j] }
+func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
 // Set assigns element (i, j).
-func (m *Mat[T]) Set(i, j int, v T) { m.Data[i*m.Cols+j] = v }
+func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
 // Row returns a mutable view of row i.
-func (m *Mat[T]) Row(i int) []T { return m.Data[i*m.Cols : (i+1)*m.Cols] }
+func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
 // SetRow copies v into row i.
-func (m *Mat[T]) SetRow(i int, v []T) {
+func (m *Matrix) SetRow(i int, v []float64) {
 	if len(v) != m.Cols {
 		panic("tensor: SetRow length mismatch")
 	}
@@ -106,7 +74,7 @@ func (m *Mat[T]) SetRow(i int, v []T) {
 // 0, 1, ... — the minibatch-assembly primitive of the learning attack,
 // which shuffles a permutation and gathers the selected examples (or their
 // cached prefix activations) into a reused workspace.
-func GatherRowsInto[T Float](dst, src *Mat[T], rows []int) {
+func GatherRowsInto(dst, src *Matrix, rows []int) {
 	if dst.Cols != src.Cols || dst.Rows != len(rows) {
 		panic(fmt.Sprintf("tensor: GatherRowsInto shape mismatch %dx%d <- %d of %dx%d",
 			dst.Rows, dst.Cols, len(rows), src.Rows, src.Cols))
@@ -117,15 +85,15 @@ func GatherRowsInto[T Float](dst, src *Mat[T], rows []int) {
 }
 
 // Col returns a copy of column j.
-func (m *Mat[T]) Col(j int) []T {
-	return m.ColInto(make([]T, m.Rows), j)
+func (m *Matrix) Col(j int) []float64 {
+	return m.ColInto(make([]float64, m.Rows), j)
 }
 
 // ColInto copies column j into dst (length m.Rows) and returns dst. Hot
 // loops that walk columns repeatedly (the decompositions) use this with a
 // reused buffer instead of Col to avoid per-call allocation and to turn
 // the strided column reads into contiguous ones.
-func (m *Mat[T]) ColInto(dst []T, j int) []T {
+func (m *Matrix) ColInto(dst []float64, j int) []float64 {
 	if len(dst) != m.Rows {
 		panic("tensor: ColInto length mismatch")
 	}
@@ -136,7 +104,7 @@ func (m *Mat[T]) ColInto(dst []T, j int) []T {
 }
 
 // SetCol copies v into column j.
-func (m *Mat[T]) SetCol(j int, v []T) {
+func (m *Matrix) SetCol(j int, v []float64) {
 	if len(v) != m.Rows {
 		panic("tensor: SetCol length mismatch")
 	}
@@ -146,14 +114,14 @@ func (m *Mat[T]) SetCol(j int, v []T) {
 }
 
 // Clone returns a deep copy.
-func (m *Mat[T]) Clone() *Mat[T] {
-	c := NewOf[T](m.Rows, m.Cols)
+func (m *Matrix) Clone() *Matrix {
+	c := New(m.Rows, m.Cols)
 	copy(c.Data, m.Data)
 	return c
 }
 
 // CopyFrom copies the contents of src (same shape required).
-func (m *Mat[T]) CopyFrom(src *Mat[T]) {
+func (m *Matrix) CopyFrom(src *Matrix) {
 	if m.Rows != src.Rows || m.Cols != src.Cols {
 		panic("tensor: CopyFrom shape mismatch")
 	}
@@ -161,15 +129,15 @@ func (m *Mat[T]) CopyFrom(src *Mat[T]) {
 }
 
 // Zero sets all elements to 0.
-func (m *Mat[T]) Zero() {
+func (m *Matrix) Zero() {
 	for i := range m.Data {
 		m.Data[i] = 0
 	}
 }
 
 // T returns the transpose as a new matrix.
-func (m *Mat[T]) T() *Mat[T] {
-	t := NewOf[T](m.Cols, m.Rows)
+func (m *Matrix) T() *Matrix {
+	t := New(m.Cols, m.Rows)
 	m.TransposeInto(t)
 	return t
 }
@@ -177,7 +145,7 @@ func (m *Mat[T]) T() *Mat[T] {
 // TransposeInto writes mᵀ into dst (shape Cols×Rows), reusing dst's
 // storage — used with pooled workspaces where a transpose is genuinely
 // needed for access-pattern reasons (e.g. staging Jacobian columns).
-func (m *Mat[T]) TransposeInto(dst *Mat[T]) {
+func (m *Matrix) TransposeInto(dst *Matrix) {
 	if dst.Rows != m.Cols || dst.Cols != m.Rows {
 		panic("tensor: TransposeInto shape mismatch")
 	}
@@ -190,11 +158,11 @@ func (m *Mat[T]) TransposeInto(dst *Mat[T]) {
 }
 
 // MatMul returns a*b.
-func MatMul[T Float](a, b *Mat[T]) *Mat[T] {
+func MatMul(a, b *Matrix) *Matrix {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMul shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	out := NewOf[T](a.Rows, b.Cols)
+	out := New(a.Rows, b.Cols)
 	MatMulInto(out, a, b)
 	return out
 }
@@ -203,7 +171,7 @@ func MatMul[T Float](a, b *Mat[T]) *Mat[T] {
 // computed by the cache-blocked kernel of kernels.go, sharded over the
 // worker pool of parallel.go; results are bit-for-bit identical at every
 // parallelism level because each row's accumulation order is fixed.
-func MatMulInto[T Float](dst, a, b *Mat[T]) {
+func MatMulInto(dst, a, b *Matrix) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic("tensor: MatMulInto shape mismatch")
 	}
@@ -215,7 +183,7 @@ func MatMulInto[T Float](dst, a, b *Mat[T]) {
 }
 
 // MatMulAddInto computes dst += a*b.
-func MatMulAddInto[T Float](dst, a, b *Mat[T]) {
+func MatMulAddInto(dst, a, b *Matrix) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic("tensor: MatMulAddInto shape mismatch")
 	}
@@ -280,7 +248,7 @@ func MatTVec(a *Matrix, x []float64) []float64 {
 }
 
 // Add returns a+b element-wise.
-func Add[T Float](a, b *Mat[T]) *Mat[T] {
+func Add(a, b *Matrix) *Matrix {
 	sameShape(a, b, "Add")
 	out := a.Clone()
 	for i, v := range b.Data {
@@ -290,7 +258,7 @@ func Add[T Float](a, b *Mat[T]) *Mat[T] {
 }
 
 // AddInPlace sets m += b.
-func (m *Mat[T]) AddInPlace(b *Mat[T]) {
+func (m *Matrix) AddInPlace(b *Matrix) {
 	sameShape(m, b, "AddInPlace")
 	for i, v := range b.Data {
 		m.Data[i] += v
@@ -298,7 +266,7 @@ func (m *Mat[T]) AddInPlace(b *Mat[T]) {
 }
 
 // Sub returns a-b element-wise.
-func Sub[T Float](a, b *Mat[T]) *Mat[T] {
+func Sub(a, b *Matrix) *Matrix {
 	sameShape(a, b, "Sub")
 	out := a.Clone()
 	for i, v := range b.Data {
@@ -308,7 +276,7 @@ func Sub[T Float](a, b *Mat[T]) *Mat[T] {
 }
 
 // Scale returns s*m as a new matrix.
-func (m *Mat[T]) Scale(s T) *Mat[T] {
+func (m *Matrix) Scale(s float64) *Matrix {
 	out := m.Clone()
 	for i := range out.Data {
 		out.Data[i] *= s
@@ -317,14 +285,14 @@ func (m *Mat[T]) Scale(s T) *Mat[T] {
 }
 
 // ScaleInPlace sets m *= s.
-func (m *Mat[T]) ScaleInPlace(s T) {
+func (m *Matrix) ScaleInPlace(s float64) {
 	for i := range m.Data {
 		m.Data[i] *= s
 	}
 }
 
 // Hadamard returns the element-wise product a∘b.
-func Hadamard[T Float](a, b *Mat[T]) *Mat[T] {
+func Hadamard(a, b *Matrix) *Matrix {
 	sameShape(a, b, "Hadamard")
 	out := a.Clone()
 	for i, v := range b.Data {
@@ -335,7 +303,7 @@ func Hadamard[T Float](a, b *Mat[T]) *Mat[T] {
 
 // MaskRows zeroes every row i with mask[i] == false, in place, and returns m.
 // This is the "M^(i)" broadcast masking of the paper's Formula 3.
-func (m *Mat[T]) MaskRows(mask []bool) *Mat[T] {
+func (m *Matrix) MaskRows(mask []bool) *Matrix {
 	if len(mask) != m.Rows {
 		panic("tensor: MaskRows length mismatch")
 	}
@@ -351,10 +319,10 @@ func (m *Mat[T]) MaskRows(mask []bool) *Mat[T] {
 }
 
 // MaxAbs returns max_i |m.Data[i]| (0 for an empty matrix).
-func (m *Mat[T]) MaxAbs() float64 {
+func (m *Matrix) MaxAbs() float64 {
 	mx := 0.0
 	for _, v := range m.Data {
-		if a := math.Abs(float64(v)); a > mx {
+		if a := math.Abs(v); a > mx {
 			mx = a
 		}
 	}
@@ -362,35 +330,35 @@ func (m *Mat[T]) MaxAbs() float64 {
 }
 
 // FrobNorm returns the Frobenius norm.
-func (m *Mat[T]) FrobNorm() float64 {
+func (m *Matrix) FrobNorm() float64 {
 	s := 0.0
 	for _, v := range m.Data {
-		s += float64(v) * float64(v)
+		s += v * v
 	}
 	return math.Sqrt(s)
 }
 
 // Equal reports whether a and b have the same shape and all elements within tol.
-func Equal[T Float](a, b *Mat[T], tol float64) bool {
+func Equal(a, b *Matrix, tol float64) bool {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		return false
 	}
 	for i, v := range a.Data {
-		if math.Abs(float64(v)-float64(b.Data[i])) > tol {
+		if math.Abs(v-b.Data[i]) > tol {
 			return false
 		}
 	}
 	return true
 }
 
-func sameShape[T Float](a, b *Mat[T], op string) {
+func sameShape(a, b *Matrix, op string) {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: %s shape mismatch %dx%d vs %dx%d", op, a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 }
 
 // String renders the matrix for debugging.
-func (m *Mat[T]) String() string {
+func (m *Matrix) String() string {
 	s := fmt.Sprintf("Matrix %dx%d [", m.Rows, m.Cols)
 	for i := 0; i < m.Rows && i < 6; i++ {
 		s += fmt.Sprintf("%v", m.Row(i))

@@ -2,14 +2,12 @@ package tensor
 
 import "math"
 
-// Dot returns the inner product of two equal-length vectors. Generic over
-// the element width: the float64 instantiation is the historical exact
-// kernel, the float32 one backs the learning attack's speed tier.
-func Dot[T Float](a, b []T) T {
+// Dot returns the inner product of two equal-length vectors.
+func Dot(a, b []float64) float64 {
 	if len(a) != len(b) {
 		panic("tensor: Dot length mismatch")
 	}
-	var s T
+	var s float64
 	for i, v := range a {
 		s += v * b[i]
 	}

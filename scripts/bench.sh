@@ -15,11 +15,10 @@ cd "$(dirname "$0")/.."
 # records the observability layer's overhead next to the numbers it could
 # perturb (DESIGN.md §12), the planner ablations so the oracle_rounds
 # trade-offs (DESIGN.md §14) stay tracked next to the default path, the
-# float32/float64 training ablations so what the float32 tier buys over the
-# exact fit (DESIGN.md §13) stays measured, and BenchmarkFarm* so the
-# predicted attack wall-clock on the simulated device farm
-# (farm_wallclock_s, DESIGN.md §16) is gated like oracle_rounds.
-PATTERN="${BENCH_PATTERN:-BenchmarkTable1|BenchmarkFigure3|BenchmarkDecryptTracer|BenchmarkFarm|BenchmarkAblation(Default|NoPlanner|Multisect4|ProbeCache|Float32Training|Float64Training)\$}"
+# learning-heavy LeNet fit (BenchmarkAblationFloat64Training, DESIGN.md §13),
+# and BenchmarkFarm* so the predicted attack wall-clock on the simulated
+# device farm (farm_wallclock_s, DESIGN.md §16) is gated like oracle_rounds.
+PATTERN="${BENCH_PATTERN:-BenchmarkTable1|BenchmarkFigure3|BenchmarkDecryptTracer|BenchmarkFarm|BenchmarkAblation(Default|NoPlanner|Multisect4|ProbeCache|Float64Training)\$}"
 BTIME="${BENCH_TIME:-1x}"
 DATE="$(date +%Y-%m-%d)"
 OUT="BENCH_${DATE}.json"
@@ -27,12 +26,12 @@ RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
 
 # Metadata that makes bench_compare diffs attributable: the effective
-# parallelism knobs and the Table 1 training precision (bench_test.go
-# defaults to the float32 raw-speed tier; DNNLOCK_TRAIN_PRECISION=float64
-# pins the exact reference tier).
+# parallelism knobs. bench_compare.sh refuses to diff two files whose
+# go/cpu/gomaxprocs/dnnlock_procs/train_precision headers differ.
+# train_precision is always float64 (the only training arithmetic); it stays
+# in the header so older baselines recorded at float32 are told apart.
 MAXPROCS="${GOMAXPROCS:-$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo unknown)}"
 PROCS="${DNNLOCK_PROCS:-default}"
-PRECISION="${DNNLOCK_TRAIN_PRECISION:-float32}"
 
 echo "==> go test -bench '$PATTERN' -benchmem -benchtime $BTIME ." >&2
 go test -run 'XXX' -bench "$PATTERN" -benchmem -benchtime "$BTIME" "$@" . | tee "$RAW" >&2
@@ -41,7 +40,7 @@ echo "==> go test ./internal/tensor -bench . -benchmem" >&2
 go test -run 'XXX' -bench . -benchmem ./internal/tensor | tee -a "$RAW" >&2
 
 awk -v date="$DATE" -v gover="$(go version | awk '{print $3}')" \
-    -v maxprocs="$MAXPROCS" -v procs="$PROCS" -v precision="$PRECISION" '
+    -v maxprocs="$MAXPROCS" -v procs="$PROCS" '
 BEGIN { n = 0 }
 /^cpu:/ { sub(/^cpu: /, ""); cpu = $0 }
 /^Benchmark/ {
@@ -56,7 +55,7 @@ BEGIN { n = 0 }
 }
 END {
     printf "{\n  \"date\": \"%s\",\n  \"go\": \"%s\",\n  \"cpu\": \"%s\",\n", date, gover, cpu
-    printf "  \"gomaxprocs\": \"%s\",\n  \"dnnlock_procs\": \"%s\",\n  \"train_precision\": \"%s\",\n", maxprocs, procs, precision
+    printf "  \"gomaxprocs\": \"%s\",\n  \"dnnlock_procs\": \"%s\",\n  \"train_precision\": \"float64\",\n", maxprocs, procs
     printf "  \"results\": [\n"
     for (i = 0; i < n; i++) printf "%s%s\n", lines[i], (i < n - 1 ? "," : "")
     printf "  ]\n}\n"

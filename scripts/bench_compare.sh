@@ -7,11 +7,17 @@
 # tree: a fresh run on the same day overwrites the baseline file in place,
 # and the committed blob is the number a perf change has to beat anyway.
 #
+# Numbers are only comparable when they were measured under the same
+# conditions, so the script first compares the go, cpu, gomaxprocs,
+# dnnlock_procs and train_precision header fields of both files and refuses
+# to diff when any of them differ (as `perfbench --compare` does).
+#
 # Usage: scripts/bench_compare.sh [fresh.json] [baseline-name]
 #   fresh.json     defaults to the lexicographically newest BENCH_*.json in
 #                  the working tree
 #   baseline-name  defaults to the newest BENCH_*.json committed at HEAD
-#   BENCH_COMPARE_STRICT=1  exit 1 when any >10% regression is flagged
+#   BENCH_COMPARE_STRICT=1  exit 1 when the headers differ or any >10%
+#                           regression is flagged
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -38,6 +44,26 @@ trap 'rm -f "$BASE"' EXIT
 git show "HEAD:$BASE_NAME" > "$BASE"
 
 echo "==> $FRESH vs committed $BASE_NAME"
+
+# header FILE FIELD prints the value of a "FIELD": "value" header line, or
+# nothing when the file predates the field.
+header() {
+    sed -n "s/^  \"$2\": \"\(.*\)\",\$/\1/p" "$1" | head -n 1
+}
+MISMATCH=0
+for FIELD in go cpu gomaxprocs dnnlock_procs train_precision; do
+    NEW="$(header "$FRESH" "$FIELD")"
+    OLD="$(header "$BASE" "$FIELD")"
+    if [ "$NEW" != "$OLD" ]; then
+        echo "bench_compare: $FIELD differs: '$NEW' in $FRESH, '$OLD' in $BASE_NAME" >&2
+        MISMATCH=1
+    fi
+done
+if [ "$MISMATCH" = "1" ]; then
+    echo "bench_compare: refusing to compare runs with different headers; record a baseline under the same conditions (scripts/bench.sh)" >&2
+    [ "${BENCH_COMPARE_STRICT:-0}" = "1" ] && exit 1
+    exit 0
+fi
 
 awk -v strict="${BENCH_COMPARE_STRICT:-0}" '
 function metric(line, key,    s) {

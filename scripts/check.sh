@@ -42,6 +42,12 @@ fi
 echo "==> go build ./..."
 go build ./...
 
+# perfbench (the repo benchmark, BENCHMARK.json) is a separate Go module, so
+# the root ./... patterns never compile it; vet and test it here so a change
+# to an API it reads fails this script instead of the benchmark.
+echo "==> perfbench: go vet ./... && go test ./..."
+(cd perfbench && go vet ./... && go test ./...)
+
 echo "==> go test -race ./internal/..."
 go test -race ./internal/...
 
