@@ -284,7 +284,8 @@ func BenchmarkPreActJacobianLeNet(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		net.PreActJacobian(x, 1)
+		_, j := net.PreActJacobian(x, 1)
+		tensor.PutMatrix(j)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -28,21 +29,41 @@ func TestParallelForCoversAllIndices(t *testing.T) {
 	}
 }
 
+// TestParallelForDeterministicRNGSeeds pins parallelFor's RNG contract:
+// index i draws exactly the stream of a fresh rand.NewSource(seedBase+i),
+// whichever worker runs it and whatever that worker drew before. Indices
+// draw different amounts (i%5+1 rounds) through every draw method the
+// attack uses, so state leaking from one index into the next on a reused
+// RNG would show.
 func TestParallelForDeterministicRNGSeeds(t *testing.T) {
 	a, _, _ := attackWithTrueKey(t, 402, 4)
-	draw := func(workers int) []int64 {
-		a.cfg.Workers = workers
-		out := make([]int64, 20)
-		a.parallelFor(len(out), 77, func(i int, rng *rand.Rand) {
-			out[i] = rng.Int63()
-		})
+	draws := func(i int, rng *rand.Rand) []float64 {
+		var out []float64
+		buf := make([]byte, 5)
+		for r := 0; r < i%5+1; r++ {
+			out = append(out, rng.Float64(), rng.NormFloat64(), float64(rng.Intn(1000)))
+			for _, p := range rng.Perm(6) {
+				out = append(out, float64(p))
+			}
+			rng.Read(buf)
+			for _, b := range buf {
+				out = append(out, float64(b))
+			}
+		}
 		return out
 	}
-	serial := draw(1)
-	parallel := draw(8)
-	for i := range serial {
-		if serial[i] != parallel[i] {
-			t.Fatal("per-index RNG streams must not depend on worker count")
+	const n, seedBase = 20, 77
+	for _, workers := range []int{1, 8} {
+		a.cfg.Workers = workers
+		got := make([][]float64, n)
+		a.parallelFor(n, seedBase, func(i int, rng *rand.Rand) {
+			got[i] = draws(i, rng)
+		})
+		for i := range got {
+			want := draws(i, rand.New(rand.NewSource(seedBase+int64(i))))
+			if !reflect.DeepEqual(got[i], want) {
+				t.Fatalf("workers=%d: index %d drew %v, a fresh source draws %v", workers, i, got[i], want)
+			}
 		}
 	}
 }

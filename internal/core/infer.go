@@ -97,10 +97,12 @@ func productMatrixAtReLUOf(net *nn.Network, tr *nn.Trace, reluSite int) (*tensor
 	return m.A, nil
 }
 
-// preimage solves Â^(site)·v = e_idx at x0 and checks the residual.
+// preimage solves Â^(site)·v = e_idx at x0 and checks the residual. The
+// product-matrix path is tried only on networks it can fold; others go
+// straight to the JVP.
 func (a *Attack) preimage(x0 []float64, site, idx int) ([]float64, bool) {
 	var aHat *tensor.Matrix
-	if a.cfg.UseProductMatrix {
+	if a.cfg.UseProductMatrix && geometry.FoldsToSite(a.white, site) {
 		tr := a.white.ForwardTraceTo(x0, site)
 		if m, err := productMatrixOf(a.white, tr, site); err == nil {
 			aHat = m
@@ -112,6 +114,7 @@ func (a *Attack) preimage(x0 []float64, site, idx int) ([]float64, bool) {
 	}
 	e := tensor.Basis(aHat.Rows, idx)
 	res := tensor.LeastSquares(aHat, e)
+	tensor.PutMatrix(aHat) // the solution does not alias Â
 	if res.RelRes > a.cfg.ResidualTol {
 		return nil, false
 	}

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync/atomic"
 
+	"dnnlock/internal/geometry"
 	"dnnlock/internal/hpnn"
 	"dnnlock/internal/nn"
 	"dnnlock/internal/obs"
@@ -268,10 +269,11 @@ func (a *Attack) ownHyperplaneMoves() bool {
 // input. For expansive sites no pre-image exists (§3.4); there it moves
 // along the target's own gradient row, v = ∇u_j/‖∇u_j‖², which moves u_j
 // by exactly 1 per unit step with the smallest possible excursion through
-// input space (so few unrelated hyperplanes are crossed).
+// input space (so few unrelated hyperplanes are crossed). Â goes back to
+// the workspace pool on return; every returned direction is a fresh slice.
 func (a *Attack) voteDirection(net *nn.Network, x0 []float64, reluSite, j int, rng *rand.Rand) []float64 {
 	var aHat *tensor.Matrix
-	if a.cfg.UseProductMatrix {
+	if a.cfg.UseProductMatrix && geometry.FoldsToReLU(net, reluSite) {
 		tr := net.ForwardTraceToReLU(x0, reluSite)
 		if m, err := productMatrixAtReLUOf(net, tr, reluSite); err == nil {
 			aHat = m
@@ -281,6 +283,7 @@ func (a *Attack) voteDirection(net *nn.Network, x0 []float64, reluSite, j int, r
 		_, jac := net.ReluInJacobian(x0, reluSite)
 		aHat = jac
 	}
+	defer tensor.PutMatrix(aHat)
 	width := net.ReLUs()[reluSite].N
 	if width <= len(x0) {
 		res := tensor.LeastSquares(aHat, tensor.Basis(aHat.Rows, j))

@@ -41,36 +41,66 @@ func (m AffineMap) Apply(x []float64) []float64 {
 // The returned map satisfies u_site(x) = Â·x + b̂ for every x in the linear
 // region that produced tr.
 func ProductMatrix(net *nn.Network, tr *nn.Trace, site int) (AffineMap, error) {
-	m, _, err := walkAffine(net, tr, site, -1)
-	return m, err
+	return walkAffine(net, tr, site, -1)
 }
 
 // ProductMatrixAtReLU computes the affine map of the input of ReLU site
 // `reluSite` under the activation patterns of tr — the hyperplane geometry
 // of the network's actual kinks, used by the attack's validation.
 func ProductMatrixAtReLU(net *nn.Network, tr *nn.Trace, reluSite int) (AffineMap, error) {
-	m, _, err := walkAffine(net, tr, -1, reluSite)
-	return m, err
+	return walkAffine(net, tr, -1, reluSite)
 }
 
 // RegionAffineMap computes the end-to-end affine map of the linear region
 // containing the traced input: f(x) = A·x + b throughout the region.
 func RegionAffineMap(net *nn.Network, tr *nn.Trace) (AffineMap, error) {
-	m, complete, err := walkAffine(net, tr, -1, -1)
-	if err != nil {
-		return AffineMap{}, err
+	return walkAffine(net, tr, -1, -1)
+}
+
+// FoldsToSite reports whether ProductMatrix can fold net up to flip site
+// `site`: every top-level layer before it is Dense, Flip, ReLU or Flatten.
+// It depends on the architecture alone, so callers check it before they
+// trace an input for the fold.
+func FoldsToSite(net *nn.Network, site int) bool { return foldCheck(net, site, -1) == nil }
+
+// FoldsToReLU is FoldsToSite for ProductMatrixAtReLU.
+func FoldsToReLU(net *nn.Network, reluSite int) bool { return foldCheck(net, -1, reluSite) == nil }
+
+// foldCheck walks the top-level layers as walkAffine would, without
+// folding anything. It returns ErrNotSequentialPWL at the first layer
+// Formulas 2–4 do not cover, and an error if a requested stop site is not
+// among the top-level layers.
+func foldCheck(net *nn.Network, stopSite, stopReLU int) error {
+	for _, l := range net.Layers {
+		switch v := l.(type) {
+		case *nn.Flip:
+			if v.SiteID == stopSite {
+				return nil
+			}
+		case *nn.ReLU:
+			if v.SiteID == stopReLU {
+				return nil
+			}
+		case *nn.Dense, *nn.Flatten:
+		default:
+			return ErrNotSequentialPWL
+		}
 	}
-	if !complete {
-		return AffineMap{}, ErrNotSequentialPWL
+	if stopSite >= 0 || stopReLU >= 0 {
+		return fmt.Errorf("geometry: stop site (flip %d / relu %d) not found", stopSite, stopReLU)
 	}
-	return m, nil
+	return nil
 }
 
 // walkAffine folds layers into an affine map. If stopSite >= 0 it returns
 // the map of the unsigned pre-activation entering that flip site; if
 // stopReLU >= 0 it returns the map of the input of that ReLU site;
-// otherwise it folds the whole network and reports completeness.
-func walkAffine(net *nn.Network, tr *nn.Trace, stopSite, stopReLU int) (AffineMap, bool, error) {
+// otherwise it folds the whole network. A network it cannot fold fails
+// foldCheck before anything is allocated.
+func walkAffine(net *nn.Network, tr *nn.Trace, stopSite, stopReLU int) (AffineMap, error) {
+	if err := foldCheck(net, stopSite, stopReLU); err != nil {
+		return AffineMap{}, err
+	}
 	p := net.InSize()
 	cur := AffineMap{A: tensor.Identity(p), B: make([]float64, p)}
 	for _, l := range net.Layers {
@@ -82,7 +112,7 @@ func walkAffine(net *nn.Network, tr *nn.Trace, stopSite, stopReLU int) (AffineMa
 			}
 		case *nn.Flip:
 			if v.SiteID == stopSite {
-				return cur, false, nil
+				return cur, nil
 			}
 			a := cur.A.Clone()
 			b := tensor.VecClone(cur.B)
@@ -102,11 +132,11 @@ func walkAffine(net *nn.Network, tr *nn.Trace, stopSite, stopReLU int) (AffineMa
 			cur = AffineMap{A: a, B: b}
 		case *nn.ReLU:
 			if v.SiteID == stopReLU {
-				return cur, false, nil
+				return cur, nil
 			}
 			pat := tr.Patterns[v.SiteID]
 			if pat == nil {
-				return AffineMap{}, false, fmt.Errorf("geometry: trace has no pattern for ReLU site %d", v.SiteID)
+				return AffineMap{}, fmt.Errorf("geometry: trace has no pattern for ReLU site %d", v.SiteID)
 			}
 			a := cur.A.Clone().MaskRows(pat)
 			b := tensor.VecClone(cur.B)
@@ -116,16 +146,9 @@ func walkAffine(net *nn.Network, tr *nn.Trace, stopSite, stopReLU int) (AffineMa
 				}
 			}
 			cur = AffineMap{A: a, B: b}
-		case *nn.Flatten:
-			// identity
-		default:
-			return AffineMap{}, false, ErrNotSequentialPWL
 		}
 	}
-	if stopSite >= 0 || stopReLU >= 0 {
-		return AffineMap{}, false, fmt.Errorf("geometry: stop site (flip %d / relu %d) not found", stopSite, stopReLU)
-	}
-	return cur, true, nil
+	return cur, nil
 }
 
 // PatternsEqual reports whether two activation-pattern stacks agree, which

@@ -49,7 +49,9 @@ func TestProductMatrixMatchesJVP(t *testing.T) {
 				return false
 			}
 			u, j := net.PreActJacobian(x, site)
-			if !tensor.Equal(m.A, j, 1e-9) {
+			same := tensor.Equal(m.A, j, 1e-9)
+			tensor.PutMatrix(j)
+			if !same {
 				return false
 			}
 			// And the affine map must reproduce the pre-activation value.

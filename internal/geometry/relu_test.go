@@ -25,6 +25,7 @@ func TestProductMatrixAtReLUMatchesJacobian(t *testing.T) {
 			t.Fatal(err)
 		}
 		u, j := net.ReluInJacobian(x, site)
+		defer tensor.PutMatrix(j)
 		if !tensor.Equal(m.A, j, 1e-9) {
 			t.Fatalf("relu site %d product matrix != Jacobian", site)
 		}

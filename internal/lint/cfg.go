@@ -524,7 +524,8 @@ func (s *BitSet) IntersectWith(o *BitSet) bool {
 
 // FlowProblem is a forward dataflow problem over one CFG. Facts are small
 // integers; Gen and Kill give each node's effect (kill applies before gen,
-// so a node that both discharges and re-creates a fact leaves it set). May
+// so a node that both discharges and re-creates a fact leaves it set), and
+// Entry lists the facts already holding when the function starts. May
 // selects the join: true unions facts over predecessors ("some path
 // reaches this point with the fact"), false intersects them ("every path
 // does").
@@ -534,6 +535,7 @@ type FlowProblem struct {
 	May   bool
 	Gen   map[ast.Node][]int
 	Kill  map[ast.Node][]int
+	Entry []int
 }
 
 // FlowResult holds the fixpoint: facts entering and leaving every block.
@@ -553,6 +555,7 @@ func (p *FlowProblem) Solve() *FlowResult {
 		if !p.May && b != p.CFG.Entry {
 			in.Fill() // ⊤ until a predecessor proves otherwise
 		}
+		p.seedEntry(b, in)
 		res.In[b] = in
 		res.Out[b] = p.transfer(b, in)
 	}
@@ -573,6 +576,7 @@ func (p *FlowProblem) Solve() *FlowResult {
 				in.IntersectWith(res.Out[pred])
 			}
 		}
+		p.seedEntry(b, in)
 		res.In[b] = in
 		out := p.transfer(b, in)
 		old := res.Out[b]
@@ -589,6 +593,16 @@ func (p *FlowProblem) Solve() *FlowResult {
 		}
 	}
 	return res
+}
+
+// seedEntry adds the Entry facts to the facts entering the entry block.
+func (p *FlowProblem) seedEntry(b *Block, in *BitSet) {
+	if b != p.CFG.Entry {
+		return
+	}
+	for _, i := range p.Entry {
+		in.Set(i)
+	}
 }
 
 func (p *FlowProblem) transfer(b *Block, in *BitSet) *BitSet {

@@ -8,12 +8,19 @@ import (
 
 // PoolPair enforces the workspace-pool ownership contract (DESIGN.md §8):
 // every matrix or vector obtained from the pool — tensor.GetMatrix /
-// GetMatrixZero / GetVec, and the pool-recycled results of
-// oracle.QueryBatch, dataset.UniformInputs, and nn.Slice.PrefixForward —
-// must be handed back with tensor.PutMatrix / PutVec on every path
-// through the acquiring function, or explicitly leave the function:
-// returned to the caller, or stored into a longer-lived structure on a
-// line annotated //lint:transfer.
+// GetMatrixZero / GetVec, the pool-recycled results of
+// oracle.QueryBatch, dataset.UniformInputs, and nn.Slice.PrefixForward,
+// and the Jacobians of nn.Network.PreActJacobian / ReluInJacobian /
+// OutputJacobian — must be handed back with tensor.PutMatrix / PutVec on
+// every path through the acquiring function, or explicitly leave the
+// function: returned to the caller, or stored into a longer-lived
+// structure on a line annotated //lint:transfer.
+//
+// The forward-mode Jacobian chain hands its tangent from layer to layer
+// (nn.Layer's JVP contract). A tangent passed to a JVP call is consumed by
+// it, the tangent JVP returns is a new acquisition, and inside a JVP method
+// the tangent parameter is an obligation from the first statement: the
+// layer must release it or return it on every path.
 //
 // The analysis runs on the shared control-flow graph (cfg.go): the
 // acquisition generates an obligation, releases and escapes discharge it,
@@ -28,26 +35,77 @@ var PoolPair = &Analyzer{
 	Run:  runPoolPair,
 }
 
-// getFuncs maps pool-acquiring functions (package path -> names). Method
-// names are matched by the defining package of the method object, so
-// aliased imports and embedded forwarding resolve correctly.
-var getFuncs = map[string]map[string]bool{
-	"dnnlock/internal/tensor":  {"GetMatrix": true, "GetMatrixZero": true, "GetVec": true},
-	"dnnlock/internal/oracle":  {"QueryBatch": true},
-	"dnnlock/internal/dataset": {"UniformInputs": true},
-	"dnnlock/internal/nn":      {"PrefixForward": true},
+// getFuncs maps pool-acquiring functions (package path -> name -> index of
+// the pooled buffer among the call's results). Method names are matched by
+// the defining package of the method object, so aliased imports, embedded
+// forwarding and interface calls resolve correctly.
+var getFuncs = map[string]map[string]int{
+	"dnnlock/internal/tensor":  {"GetMatrix": 0, "GetMatrixZero": 0, "GetVec": 0},
+	"dnnlock/internal/oracle":  {"QueryBatch": 0},
+	"dnnlock/internal/dataset": {"UniformInputs": 0},
+	"dnnlock/internal/nn": {"PrefixForward": 0,
+		"PreActJacobian": 1, "ReluInJacobian": 1, "OutputJacobian": 1, "JVP": 1},
 }
 
 var putFuncs = map[string]map[string]bool{
 	"dnnlock/internal/tensor": {"PutMatrix": true, "PutVec": true},
 }
 
+// consumeFuncs maps functions that take over one pooled argument (package
+// path -> name -> argument index): passing a buffer there discharges the
+// caller's obligation, and a method of that name must itself release or
+// return the argument.
+var consumeFuncs = map[string]map[string]int{
+	"dnnlock/internal/nn": {"JVP": 1},
+}
+
 func runPoolPair(p *Pass) {
 	for _, f := range p.Unit.Files {
+		consumed := p.consumedParams(f)
 		for _, region := range functionRegions(f) {
-			analyzeRegion(p, region)
+			analyzeRegion(p, region, consumed[region])
 		}
 	}
+}
+
+// consumedParams returns, per method body, the obligation of a parameter
+// the method consumes (see consumeFuncs).
+func (p *Pass) consumedParams(f *ast.File) map[*ast.BlockStmt]*acquisition {
+	idxs := consumeFuncs[p.Unit.Pkg.Path()]
+	out := map[*ast.BlockStmt]*acquisition{}
+	for _, d := range f.Decls {
+		fd, ok := d.(*ast.FuncDecl)
+		if !ok || fd.Recv == nil || fd.Body == nil {
+			continue
+		}
+		idx, ok := idxs[fd.Name.Name]
+		if !ok {
+			continue
+		}
+		var params []*ast.Ident // nil for an unnamed parameter
+		for _, field := range fd.Type.Params.List {
+			if len(field.Names) == 0 {
+				params = append(params, nil)
+			}
+			params = append(params, field.Names...)
+		}
+		if idx >= len(params) {
+			continue
+		}
+		id := params[idx]
+		if id == nil || id.Name == "_" {
+			p.Report(fd.Name.Pos(), "%s argument %d is never released: %s consumes it, so name it and release or return it",
+				fd.Name.Name, idx, fd.Name.Name)
+			continue
+		}
+		obj := p.Unit.Info.Defs[id]
+		if obj == nil {
+			continue
+		}
+		name := fd.Name.Name + " argument " + id.Name
+		out[fd.Body] = &acquisition{param: id, name: name, obj: obj, objs: []types.Object{obj}}
+	}
+	return out
 }
 
 // functionRegions returns every function body in the file: declarations and
@@ -68,16 +126,37 @@ func functionRegions(f *ast.File) []*ast.BlockStmt {
 	return out
 }
 
-// acquisition is one tracked pool Get inside a region.
+// acquisition is one tracked pool Get inside a region, or a consumed
+// parameter (param set, call nil) whose obligation holds from entry.
 type acquisition struct {
-	call *ast.CallExpr
-	name string         // display name, e.g. "tensor.GetMatrix"
-	obj  types.Object   // variable holding the result; nil if discarded
-	objs []types.Object // obj plus aliases
+	call  *ast.CallExpr
+	param *ast.Ident
+	name  string         // display name, e.g. "tensor.GetMatrix" or "JVP argument j"
+	obj   types.Object   // variable holding the result; nil if discarded
+	objs  []types.Object // obj plus aliases
 }
 
-func analyzeRegion(p *Pass, body *ast.BlockStmt) {
+// pos is where the obligation starts.
+func (a *acquisition) pos() token.Pos {
+	if a.call == nil {
+		return a.param.Pos()
+	}
+	return a.call.Pos()
+}
+
+// what names the tracked buffer in diagnostics.
+func (a *acquisition) what() string {
+	if a.call == nil {
+		return a.name
+	}
+	return "result of " + a.name
+}
+
+func analyzeRegion(p *Pass, body *ast.BlockStmt, param *acquisition) {
 	acqs := collectAcquisitions(p, body)
+	if param != nil {
+		acqs = append(acqs, param)
+	}
 	if len(acqs) == 0 {
 		return
 	}
@@ -106,6 +185,10 @@ func analyzeRegion(p *Pass, body *ast.BlockStmt) {
 		}
 	}
 	for i, acq := range acqs {
+		if acq.call == nil {
+			prob.Entry = append(prob.Entry, i)
+			continue
+		}
 		blk, idx := g.FindNode(acq.call.Pos())
 		if blk == nil {
 			continue
@@ -120,7 +203,7 @@ func analyzeRegion(p *Pass, body *ast.BlockStmt) {
 			continue // a deferred Put covers every exit
 		}
 		if !hasEvent[i] {
-			p.Report(acq.call.Pos(), "result of %s is never released: missing tensor.PutMatrix/PutVec, return, or //lint:transfer", acq.name)
+			p.Report(acq.pos(), "%s is never released: missing tensor.PutMatrix/PutVec, return, or //lint:transfer", acq.what())
 			continue
 		}
 		p.reportLeakPaths(g, res, prob, i, acq)
@@ -143,11 +226,11 @@ func (p *Pass) reportLeakPaths(g *CFG, res *FlowResult, prob *FlowProblem, i int
 				continue
 			}
 			p.Report(ret.Pos(), "%s acquired at line %d may leak on this return path: no release or transfer before it",
-				acq.name, p.Fset.Position(acq.call.Pos()).Line)
+				acq.name, p.Fset.Position(acq.pos()).Line)
 		}
 	}
 	if g.FallsOff != nil && g.FallsOff.Reachable && res.Out[g.FallsOff].Has(i) {
-		p.Report(acq.call.Pos(), "result of %s is not released on the fall-through path to the end of the function", acq.name)
+		p.Report(acq.pos(), "%s is not released on the fall-through path to the end of the function", acq.what())
 	}
 }
 
@@ -176,6 +259,8 @@ func (p *Pass) nodeDischarges(n ast.Node, body *ast.BlockStmt, acq *acquisition)
 		case *ast.CallExpr:
 			if p.putLike(v) && p.mentions(v.Args, acq.objs) {
 				found = true
+			} else if i, ok := p.consumedArg(v); ok && i < len(v.Args) && p.escapingExpr(v.Args[i], acq.objs) {
+				found = true // handed over: the callee releases or returns it
 			}
 		case *ast.ReturnStmt:
 			for _, res := range v.Results {
@@ -241,20 +326,21 @@ func collectAcquisitions(p *Pass, body *ast.BlockStmt) []*acquisition {
 		switch st := n.(type) {
 		case *ast.ExprStmt:
 			if call, ok := st.X.(*ast.CallExpr); ok {
-				if name, hit := p.getLike(call); hit {
+				if name, _, hit := p.getLike(call); hit {
 					p.Report(call.Pos(), "result of %s is discarded: the pooled buffer can never be released", name)
 				}
 			}
 		case *ast.AssignStmt:
-			if len(st.Lhs) == 2 && len(st.Rhs) == 1 {
-				// Two-result acquisition: buf, err := oracle.QueryBatch(x).
-				// The pooled buffer is the first value; the error rides
-				// second and is not tracked. On error the buffer is nil, but
-				// the releases are nil-safe, so the ownership contract is the
+			if len(st.Lhs) > 1 && len(st.Rhs) == 1 {
+				// Tuple acquisition: the pooled buffer is the result getFuncs
+				// names — first in buf, err := oracle.QueryBatch(x), second
+				// in u, jac := net.PreActJacobian(x, s). The other results
+				// are not tracked. On error the buffer is nil, but the
+				// releases are nil-safe, so the ownership contract is the
 				// same on every path.
 				if call, ok := st.Rhs[0].(*ast.CallExpr); ok {
-					if name, hit := p.getLike(call); hit {
-						out = p.trackAssigned(out, st, call, name, st.Lhs[0])
+					if name, res, hit := p.getLike(call); hit && res < len(st.Lhs) {
+						out = p.trackAssigned(out, st, call, name, st.Lhs[res])
 					}
 				}
 				break
@@ -264,7 +350,7 @@ func collectAcquisitions(p *Pass, body *ast.BlockStmt) []*acquisition {
 				if !ok {
 					continue
 				}
-				name, hit := p.getLike(call)
+				name, _, hit := p.getLike(call)
 				if !hit {
 					continue
 				}
@@ -279,8 +365,14 @@ func collectAcquisitions(p *Pass, body *ast.BlockStmt) []*acquisition {
 				if !ok {
 					continue
 				}
-				name, hit := p.getLike(call)
-				if !hit || i >= len(st.Names) {
+				name, res, hit := p.getLike(call)
+				if !hit {
+					continue
+				}
+				if len(st.Values) == 1 && len(st.Names) > 1 {
+					i = res // var u, jac = net.PreActJacobian(x, s)
+				}
+				if i >= len(st.Names) {
 					continue
 				}
 				if obj := p.Unit.Info.Defs[st.Names[i]]; obj != nil {
@@ -362,9 +454,9 @@ func aliasClosure(p *Pass, body *ast.BlockStmt, acq *acquisition) {
 }
 
 // getLike reports whether call is a pool acquisition, returning its display
-// name.
-func (p *Pass) getLike(call *ast.CallExpr) (string, bool) {
-	return p.callIn(call, getFuncs)
+// name and the index of the pooled result.
+func (p *Pass) getLike(call *ast.CallExpr) (string, int, bool) {
+	return p.callIndex(call, getFuncs)
 }
 
 func (p *Pass) putLike(call *ast.CallExpr) bool {
@@ -372,7 +464,36 @@ func (p *Pass) putLike(call *ast.CallExpr) bool {
 	return ok
 }
 
+// consumedArg reports whether call takes over one pooled argument, and
+// which.
+func (p *Pass) consumedArg(call *ast.CallExpr) (int, bool) {
+	_, i, ok := p.callIndex(call, consumeFuncs)
+	return i, ok
+}
+
 func (p *Pass) callIn(call *ast.CallExpr, set map[string]map[string]bool) (string, bool) {
+	fn := p.callee(call)
+	if fn == nil || !set[fn.Pkg().Path()][fn.Name()] {
+		return "", false
+	}
+	return fn.Pkg().Name() + "." + fn.Name(), true
+}
+
+// callIndex is callIn for sets that record an index per function.
+func (p *Pass) callIndex(call *ast.CallExpr, set map[string]map[string]int) (string, int, bool) {
+	fn := p.callee(call)
+	if fn == nil {
+		return "", 0, false
+	}
+	idx, ok := set[fn.Pkg().Path()][fn.Name()]
+	if !ok {
+		return "", 0, false
+	}
+	return fn.Pkg().Name() + "." + fn.Name(), idx, true
+}
+
+// callee resolves the function or method a call invokes, or nil.
+func (p *Pass) callee(call *ast.CallExpr) *types.Func {
 	var id *ast.Ident
 	switch fun := call.Fun.(type) {
 	case *ast.Ident:
@@ -380,21 +501,13 @@ func (p *Pass) callIn(call *ast.CallExpr, set map[string]map[string]bool) (strin
 	case *ast.SelectorExpr:
 		id = fun.Sel
 	default:
-		return "", false
+		return nil
 	}
-	obj, ok := p.Unit.Info.Uses[id]
-	if !ok {
-		return "", false
-	}
-	fn, ok := obj.(*types.Func)
+	fn, ok := p.Unit.Info.Uses[id].(*types.Func)
 	if !ok || fn.Pkg() == nil {
-		return "", false
+		return nil
 	}
-	names, ok := set[fn.Pkg().Path()]
-	if !ok || !names[fn.Name()] {
-		return "", false
-	}
-	return fn.Pkg().Name() + "." + fn.Name(), true
+	return fn
 }
 
 // isTracked reports whether the identifier resolves to one of the tracked

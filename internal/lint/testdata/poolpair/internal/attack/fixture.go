@@ -5,6 +5,7 @@ package attack
 
 import (
 	"dnnlock/internal/dataset"
+	"dnnlock/internal/nn"
 	"dnnlock/internal/oracle"
 	"dnnlock/internal/tensor"
 )
@@ -218,4 +219,58 @@ func queryRetryLoop(o *oracle.Oracle, x *tensor.Matrix, retries int) (*tensor.Ma
 		tensor.PutMatrix(y)
 	}
 	return nil, err
+}
+
+// --- Jacobians: the pooled matrix is the second result --------------------
+
+func leakJacobian(net *nn.Network, x []float64) int {
+	_, j := net.PreActJacobian(x, 0) // want "result of nn.PreActJacobian is never released"
+	return j.Rows
+}
+
+func leakJacobianVar(net *nn.Network, x []float64) int {
+	var u, j = net.OutputJacobian(x) // want "result of nn.OutputJacobian is never released"
+	return len(u) + j.Rows
+}
+
+func leakJacobianOnEarlyReturn(net *nn.Network, x []float64, cond bool) int {
+	_, j := net.ReluInJacobian(x, 0)
+	if cond {
+		return -1 // want "nn.ReluInJacobian acquired at line .* may leak on this return path"
+	}
+	tensor.PutMatrix(j)
+	return 0
+}
+
+func blankJacobian(net *nn.Network, x []float64) int {
+	u, _ := net.ReluInJacobian(x, 0) // want "result of nn.ReluInJacobian is assigned to _"
+	return len(u)
+}
+
+func discardedJacobian(net *nn.Network, x []float64) {
+	net.OutputJacobian(x) // want "result of nn.OutputJacobian is discarded"
+}
+
+func jacobianReleased(net *nn.Network, x []float64) int {
+	u, j := net.PreActJacobian(x, 0)
+	r := len(u) + j.Rows
+	tensor.PutMatrix(j)
+	return r
+}
+
+// jacobianReleasedDeferred mirrors core.voteDirection: the Jacobian lands in
+// an alias and a deferred release covers every return.
+func jacobianReleasedDeferred(net *nn.Network, x []float64, cond bool) int {
+	var aHat *tensor.Matrix
+	if cond {
+		_, jac := net.ReluInJacobian(x, 0)
+		aHat = jac
+	} else {
+		aHat = tensor.GetMatrix(2, 2)
+	}
+	defer tensor.PutMatrix(aHat)
+	if aHat.Rows == 0 {
+		return -1
+	}
+	return aHat.Cols
 }

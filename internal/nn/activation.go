@@ -117,25 +117,22 @@ func (r *ReLU) Backward(dy *tensor.Matrix) *tensor.Matrix {
 
 func (r *ReLU) dropTrainState() { r.mask, r.y, r.dx = nil, nil, nil }
 
-// JVP gates tangent rows by the activation pattern of the value path and
-// records the input Jacobian into jtr.
+// JVP gates the tangent rows in place by the activation pattern of the
+// value path. At jtr's target it stops before gating: x and j are the
+// rectifier's input and its Jacobian.
 func (r *ReLU) JVP(x []float64, j *tensor.Matrix, jtr *JVPTrace) ([]float64, *tensor.Matrix) {
-	if jtr != nil {
-		jtr.ReluJ[r.SiteID] = j.Clone()
+	if jtr.stopAtReLU(r.SiteID) {
+		return x, j
 	}
 	y := make([]float64, r.N)
-	jy := j.Clone()
 	for i, v := range x {
 		if v > 0 {
 			y[i] = v
 		} else {
-			row := jy.Row(i)
-			for c := range row {
-				row[c] = 0
-			}
+			clear(j.Row(i))
 		}
 	}
-	return y, jy
+	return y, j
 }
 
 // Params returns nil; ReLU has no parameters.

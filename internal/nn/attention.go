@@ -240,6 +240,7 @@ func (a *AttentionReLU) JVP(x []float64, j *tensor.Matrix, _ *JVPTrace) ([]float
 	p := j.Cols
 	jT := tensor.GetMatrix(p, a.InSize())
 	j.TransposeInto(jT)
+	tensor.PutMatrix(j)
 	jyT := tensor.GetMatrix(p, a.OutSize())
 	dq := tensor.GetMatrix(a.T, a.Dh)
 	dk := tensor.GetMatrix(a.T, a.Dh)
@@ -247,8 +248,9 @@ func (a *AttentionReLU) JVP(x []float64, j *tensor.Matrix, _ *JVPTrace) ([]float
 	du := tensor.GetMatrix(a.T, a.T)
 	dsm := tensor.GetMatrix(a.T, a.T)
 	do := tensor.GetMatrix(a.T, a.Dh)
+	var dxv, dyv tensor.Matrix // per-column views of the staged tangents
 	for t := 0; t < p; t++ {
-		dxm := tensor.FromSlice(a.T, a.D, jT.Row(t))
+		dxm := rowView(&dxv, jT.Row(t), a.T, a.D)
 		tensor.MatMulInto(dq, dxm, a.Wq.W)
 		tensor.MatMulInto(dk, dxm, a.Wk.W)
 		tensor.MatMulInto(dv, dxm, a.Wv.W)
@@ -264,10 +266,10 @@ func (a *AttentionReLU) JVP(x []float64, j *tensor.Matrix, _ *JVPTrace) ([]float
 		}
 		tensor.MatMulInto(do, dsm, v)
 		tensor.MatMulAddInto(do, s, dv)
-		dym := tensor.FromSlice(a.T, a.D, jyT.Row(t))
+		dym := rowView(&dyv, jyT.Row(t), a.T, a.D)
 		tensor.MatMulInto(dym, do, a.Wo.W)
 	}
-	jy := tensor.New(a.OutSize(), p)
+	jy := tensor.GetMatrix(a.OutSize(), p)
 	jyT.TransposeInto(jy)
 	tensor.PutMatrix(q, k, v, s, o, jT, jyT, dq, dk, dv, du, dsm, do)
 	return y, jy

@@ -106,7 +106,7 @@ func (a *AvgPool2D) Backward(dy *tensor.Matrix) *tensor.Matrix {
 // JVP averages tangent rows window-wise (the map is linear).
 func (a *AvgPool2D) JVP(x []float64, j *tensor.Matrix, _ *JVPTrace) ([]float64, *tensor.Matrix) {
 	y := a.Forward(x, nil)
-	jy := tensor.New(a.OutSize(), j.Cols)
+	jy := tensor.GetMatrixZero(a.OutSize(), j.Cols)
 	inv := 1 / float64(a.K*a.K)
 	for c := 0; c < a.C; c++ {
 		inBase := c * a.InH * a.InW
@@ -126,6 +126,7 @@ func (a *AvgPool2D) JVP(x []float64, j *tensor.Matrix, _ *JVPTrace) ([]float64, 
 			}
 		}
 	}
+	tensor.PutMatrix(j)
 	return y, jy
 }
 

@@ -736,11 +736,12 @@ func (c *Conv2D) JVP(x []float64, j *tensor.Matrix, _ *JVPTrace) ([]float64, *te
 	p := j.Cols
 	jT := tensor.GetMatrix(p, c.InSize())
 	j.TransposeInto(jT)
+	tensor.PutMatrix(j)
 	jyT := tensor.GetMatrix(p, c.OutSize())
 	for t := 0; t < p; t++ {
 		c.forwardInto(jT.Row(t), jyT.Row(t), false)
 	}
-	jy := tensor.New(c.OutSize(), p)
+	jy := tensor.GetMatrix(c.OutSize(), p)
 	jyT.TransposeInto(jy)
 	tensor.PutMatrix(jT, jyT)
 	return y, jy

@@ -128,7 +128,10 @@ func (d *Dense) dropTrainState() { d.lastX, d.y, d.dx = nil, nil, nil }
 
 // JVP propagates the value and tangent: y = Wx+b, Jy = W·J.
 func (d *Dense) JVP(x []float64, j *tensor.Matrix, _ *JVPTrace) ([]float64, *tensor.Matrix) {
-	return d.Forward(x, nil), tensor.MatMul(d.W.W, j)
+	jy := tensor.GetMatrix(d.Out, j.Cols)
+	tensor.MatMulInto(jy, d.W.W, j)
+	tensor.PutMatrix(j)
+	return d.Forward(x, nil), jy
 }
 
 // Params returns the weight and bias parameters.
@@ -239,7 +242,7 @@ func (td *TokenDense) dropTrainState() {
 func (td *TokenDense) JVP(x []float64, j *tensor.Matrix, _ *JVPTrace) ([]float64, *tensor.Matrix) {
 	y := td.Forward(x, nil)
 	p := j.Cols
-	jy := tensor.New(td.OutSize(), p)
+	jy := tensor.GetMatrixZero(td.OutSize(), p)
 	// Each tangent column transforms exactly like a value (the map is linear).
 	for t := 0; t < td.T; t++ {
 		for o := 0; o < td.D.Out; o++ {
@@ -257,6 +260,7 @@ func (td *TokenDense) JVP(x []float64, j *tensor.Matrix, _ *JVPTrace) ([]float64
 			}
 		}
 	}
+	tensor.PutMatrix(j)
 	return y, jy
 }
 

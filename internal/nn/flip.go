@@ -257,15 +257,15 @@ func (f *Flip) Backward(dy *tensor.Matrix) *tensor.Matrix {
 	return dx
 }
 
-// JVP scales value and tangent rows by the local derivative of the flip
-// and records the pre-flip Jacobian (the Â^(i) numerator the attack needs)
-// into jtr. Constant offsets shift the value but not the tangents.
+// JVP scales the value and, in place, the tangent rows by the local
+// derivative of the flip. Constant offsets shift the value but not the
+// tangents. At jtr's target it stops before flipping: x and j are the
+// unsigned pre-activation and its Jacobian (the Â^(i) the attack needs).
 func (f *Flip) JVP(x []float64, j *tensor.Matrix, jtr *JVPTrace) ([]float64, *tensor.Matrix) {
-	if jtr != nil {
-		jtr.PreJ[f.SiteID] = j.Clone()
+	if jtr.stopAtFlip(f.SiteID) {
+		return x, j
 	}
 	y := f.forwardRow(x)
-	jy := j.Clone()
 	deriv := func(i int) float64 { return f.Signs[i] }
 	soft := make(map[int]int, len(f.softIdx))
 	for si, idx := range f.softIdx {
@@ -290,13 +290,13 @@ func (f *Flip) JVP(x []float64, j *tensor.Matrix, jtr *JVPTrace) ([]float64, *te
 		}
 		//lint:ignore floatcmp d is the exact sentinel 1 when the flip is inactive
 		if d != 1 {
-			row := jy.Row(i)
+			row := j.Row(i)
 			for col := range row {
 				row[col] *= d
 			}
 		}
 	}
-	return y, jy
+	return y, j
 }
 
 // Params returns the soft parameter when in soft mode.

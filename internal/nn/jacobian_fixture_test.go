@@ -81,18 +81,20 @@ func jacobianEntries() []jacobianEntry {
 						Model: b.name, Seed: seed, Point: point,
 						Kind: kind, Site: site, SHA256: hashJacobian(v, j),
 					})
-					tensor.PutMatrix(j)
 				}
 				for s := 0; s < net.NumFlipSites(); s++ {
 					v, j := net.PreActJacobian(x, s)
 					add("pre", s, v, j)
+					tensor.PutMatrix(j)
 				}
 				for r := range net.ReLUs() {
 					v, j := net.ReluInJacobian(x, r)
 					add("relu", r, v, j)
+					tensor.PutMatrix(j)
 				}
 				v, j := net.OutputJacobian(x)
 				add("out", -1, v, j)
+				tensor.PutMatrix(j)
 			}
 		}
 	}

@@ -31,6 +31,7 @@ func fdJacobian(f func([]float64) []float64, x []float64, h float64) *tensor.Mat
 func checkOutputJVP(t *testing.T, net *Network, x []float64, tol float64) {
 	t.Helper()
 	y, j := net.OutputJacobian(x)
+	defer tensor.PutMatrix(j)
 	yRef := net.Forward(x)
 	for i := range y {
 		if math.Abs(y[i]-yRef[i]) > 1e-10 {
@@ -100,6 +101,7 @@ func TestJVPFlipAndPreActJacobian(t *testing.T) {
 
 	// Site 0 pre-activation Jacobian should equal d1's weights exactly.
 	u, j := net.PreActJacobian(x, 0)
+	defer tensor.PutMatrix(j)
 	if !tensor.Equal(j, d1.W.W, 1e-12) {
 		t.Fatal("site-0 Jacobian should be the first weight matrix")
 	}
@@ -112,6 +114,7 @@ func TestJVPFlipAndPreActJacobian(t *testing.T) {
 
 	// Site 1 Jacobian against finite differences of the unsigned pre-act.
 	u1, j1 := net.PreActJacobian(x, 1)
+	defer tensor.PutMatrix(j1)
 	fd := fdJacobian(func(xx []float64) []float64 {
 		return net.ForwardTrace(xx).Pre[1]
 	}, x, 1e-6)
@@ -141,6 +144,7 @@ func TestOutputJacobianMatchesProductMatrixOnMLP(t *testing.T) {
 	w2 := tensor.MatMul(d2.W.W, w1).MaskRows(tr.Patterns[1])
 	want := tensor.MatMul(d3.W.W, w2)
 	_, got := net.OutputJacobian(x)
+	defer tensor.PutMatrix(got)
 	if !tensor.Equal(got, want, 1e-10) {
 		t.Fatal("output Jacobian does not match the masked weight product")
 	}

@@ -57,30 +57,54 @@ type Trace struct {
 	Out      []float64   // network output
 }
 
-// JVPTrace records, for one forward-mode sweep, the Jacobians (w.r.t. the
-// network input) of the unsigned pre-activation at each flip site and of
-// the input of each ReLU site. The matrix at a site of width d is d × P.
+// JVPTrace names the one site a forward-mode sweep stops at: a flip site,
+// whose Jacobian is that of the unsigned pre-activation entering it, or a
+// ReLU site, whose Jacobian is that of the rectifier's input. The layer
+// owning the site marks the trace and returns its input value and tangent
+// untouched; every enclosing chain then returns at once, so the sweep ends
+// carrying the site's value and Jacobian (d × P) and computes nothing
+// downstream. A nil trace sweeps the whole network.
 type JVPTrace struct {
-	PreJ  []*tensor.Matrix
-	ReluJ []*tensor.Matrix
+	flip, relu int // target flip or ReLU site; -1 names no site
+	hit        bool
 }
 
-// Have reports whether flip site s has been recorded.
-func (t *JVPTrace) Have(s int) bool {
-	return t != nil && s < len(t.PreJ) && t.PreJ[s] != nil
+// stopAtFlip reports whether flip site s is the target, marking the trace
+// as stopped when it is.
+func (t *JVPTrace) stopAtFlip(s int) bool {
+	if t == nil || t.flip != s {
+		return false
+	}
+	t.hit = true
+	return true
 }
 
-// HaveReLU reports whether ReLU site r has been recorded.
-func (t *JVPTrace) HaveReLU(r int) bool {
-	return t != nil && r < len(t.ReluJ) && t.ReluJ[r] != nil
+// stopAtReLU is stopAtFlip for ReLU site r.
+func (t *JVPTrace) stopAtReLU(r int) bool {
+	if t == nil || t.relu != r {
+		return false
+	}
+	t.hit = true
+	return true
 }
+
+// stopped reports whether the sweep has reached its target site.
+func (t *JVPTrace) stopped() bool { return t != nil && t.hit }
 
 // Layer is the building block of a Network.
 //
 // Forward must be pure (safe for concurrent use); it records into tr when tr
-// is non-nil. JVP propagates the value x together with the Jacobian J
-// (d_in × P) of x w.r.t. the network input, recording flip-site Jacobians
-// into jtr when non-nil.
+// is non-nil.
+//
+// JVP propagates the value x together with the Jacobian J (d_in × P) of x
+// w.r.t. the network input. It consumes its tangent: J is a pooled
+// workspace matrix the chain owns, which the layer either updates in place
+// and returns (Flip, ReLU, Flatten) or releases with tensor.PutMatrix after
+// writing the result into a fresh pooled matrix. Either way the caller owns
+// the returned tangent and must not touch J again. The returned value is a
+// fresh slice, except that shape-only layers (Flatten) pass x through. When
+// the layer owns jtr's target site, it returns x and J unchanged instead
+// and the sweep ends there (see JVPTrace).
 //
 // TrainForward and Backward are the training passes. They keep state in the
 // layer (the cached input, activity masks, and the buffers they write into),

@@ -203,65 +203,65 @@ func (n *Network) ZeroGrad() {
 // Jacobian Â (d_site × P) with respect to the network input, evaluated at x.
 // For a piecewise-linear network this Jacobian is exactly the paper's
 // product weight matrix of Formulas 2–3 in the linear region of x.
-// Propagation stops as soon as the requested site has been recorded.
+// Propagation stops as soon as the requested site is reached. The Jacobian
+// is a pooled workspace matrix: the caller owns it and hands it back with
+// tensor.PutMatrix once done (abandoning it is safe, just slower).
 func (n *Network) PreActJacobian(x []float64, site int) ([]float64, *tensor.Matrix) {
 	if site < 0 || site >= len(n.flips) {
 		panic(fmt.Sprintf("nn: flip site %d out of range", site))
 	}
-	jtr := n.newJVPTrace()
-	j := tensor.Identity(len(x))
-	v := x
-	for _, l := range n.Layers {
-		v, j = l.JVP(v, j, jtr)
-		if jtr.Have(site) {
-			break
-		}
-	}
-	if !jtr.Have(site) {
-		panic(fmt.Sprintf("nn: flip site %d never reached", site))
-	}
-	// Recover the unsigned pre-activation via a trace (cheap single pass).
-	tr := n.ForwardTraceTo(x, site)
-	return tr.Pre[site], jtr.PreJ[site]
-}
-
-func (n *Network) newJVPTrace() *JVPTrace {
-	return &JVPTrace{
-		PreJ:  make([]*tensor.Matrix, len(n.flips)),
-		ReluJ: make([]*tensor.Matrix, len(n.relus)),
-	}
+	return n.jacobianTo(x, &JVPTrace{flip: site, relu: -1})
 }
 
 // ReluInJacobian returns the input of ReLU site r and its Jacobian with
 // respect to the network input, evaluated at x. The zero set of this input
 // is where the network function actually bends, which is what the attack's
-// validation probes.
+// validation probes. The Jacobian is pooled, as for PreActJacobian.
 func (n *Network) ReluInJacobian(x []float64, r int) ([]float64, *tensor.Matrix) {
 	if r < 0 || r >= len(n.relus) {
 		panic(fmt.Sprintf("nn: relu site %d out of range", r))
 	}
-	jtr := n.newJVPTrace()
-	j := tensor.Identity(len(x))
-	v := x
-	for _, l := range n.Layers {
-		v, j = l.JVP(v, j, jtr)
-		if jtr.HaveReLU(r) {
-			break
-		}
-	}
-	if !jtr.HaveReLU(r) {
-		panic(fmt.Sprintf("nn: relu site %d never reached", r))
-	}
-	tr := n.ForwardTraceToReLU(x, r)
-	return tr.ReluIn[r], jtr.ReluJ[r]
+	return n.jacobianTo(x, &JVPTrace{flip: -1, relu: r})
 }
 
 // OutputJacobian returns the logits y and the full Jacobian dy/dx (Q × P).
+// The Jacobian is pooled, as for PreActJacobian.
 func (n *Network) OutputJacobian(x []float64) ([]float64, *tensor.Matrix) {
-	j := tensor.Identity(len(x))
-	v := x
-	for _, l := range n.Layers {
-		v, j = l.JVP(v, j, nil)
+	return jvpChain(n.Layers, x, identitySeed(len(x)), nil)
+}
+
+// jacobianTo sweeps the network from the input until jtr's site stops it
+// and returns the value and Jacobian the chain carried there.
+func (n *Network) jacobianTo(x []float64, jtr *JVPTrace) ([]float64, *tensor.Matrix) {
+	v, j := jvpChain(n.Layers, x, identitySeed(len(x)), jtr)
+	if !jtr.stopped() {
+		panic(fmt.Sprintf("nn: site (flip %d, relu %d) never reached", jtr.flip, jtr.relu))
+	}
+	if sameVec(v, x) {
+		// A site no layer precedes sees the caller's input itself.
+		v = append([]float64(nil), x...)
+	}
+	return v, j
+}
+
+// identitySeed returns the pooled n×n identity a sweep starts from.
+func identitySeed(n int) *tensor.Matrix {
+	j := tensor.GetMatrixZero(n, n)
+	for i := 0; i < n; i++ {
+		j.Data[i*n+i] = 1
+	}
+	return j
+}
+
+// jvpChain folds JVP over layers, handing each the tangent the previous
+// one returned. It returns as soon as jtr's site is reached, with the value
+// and tangent at that site.
+func jvpChain(layers []Layer, v []float64, j *tensor.Matrix, jtr *JVPTrace) ([]float64, *tensor.Matrix) {
+	for _, l := range layers {
+		v, j = l.JVP(v, j, jtr)
+		if jtr.stopped() {
+			break
+		}
 	}
 	return v, j
 }

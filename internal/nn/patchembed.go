@@ -191,16 +191,23 @@ func (pe *PatchEmbed) Backward(dy *tensor.Matrix) *tensor.Matrix {
 }
 
 // JVP embeds the value with bias and each tangent column without bias.
+// Tangents are staged through pooled transposes, as in Conv2D.JVP, so each
+// column embeds contiguously into one shared patch buffer.
 func (pe *PatchEmbed) JVP(x []float64, j *tensor.Matrix, _ *JVPTrace) ([]float64, *tensor.Matrix) {
 	y := pe.forwardOne(x, true)
-	jy := tensor.New(pe.OutSize(), j.Cols)
-	col := make([]float64, pe.InSize())
-	for t := 0; t < j.Cols; t++ {
-		for i := range col {
-			col[i] = j.At(i, t)
-		}
-		jy.SetCol(t, pe.forwardOne(col, false))
+	p := j.Cols
+	jT := tensor.GetMatrix(p, pe.InSize())
+	j.TransposeInto(jT)
+	tensor.PutMatrix(j)
+	jyT := tensor.GetMatrix(p, pe.OutSize())
+	buf := tensor.GetVec(pe.C * pe.P * pe.P)
+	for t := 0; t < p; t++ {
+		pe.forwardInto(jT.Row(t), jyT.Row(t), buf, false)
 	}
+	tensor.PutVec(buf)
+	jy := tensor.GetMatrix(pe.OutSize(), p)
+	jyT.TransposeInto(jy)
+	tensor.PutMatrix(jT, jyT)
 	return y, jy
 }
 

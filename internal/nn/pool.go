@@ -160,10 +160,11 @@ func (m *MaxPool2D) dropTrainState() { m.lastArg, m.y, m.dx = nil, nil, nil }
 // region, where the argmax is locally constant).
 func (m *MaxPool2D) JVP(x []float64, j *tensor.Matrix, _ *JVPTrace) ([]float64, *tensor.Matrix) {
 	y, arg := m.forwardArg(x)
-	jy := tensor.New(m.OutSize(), j.Cols)
+	jy := tensor.GetMatrix(m.OutSize(), j.Cols)
 	for o, idx := range arg {
 		jy.SetRow(o, j.Row(idx))
 	}
+	tensor.PutMatrix(j)
 	return y, jy
 }
 
@@ -250,7 +251,7 @@ func (g *GlobalAvgPool) JVP(x []float64, j *tensor.Matrix, _ *JVPTrace) ([]float
 	y := g.Forward(x, nil)
 	plane := g.H * g.W
 	inv := 1 / float64(plane)
-	jy := tensor.New(g.C, j.Cols)
+	jy := tensor.GetMatrixZero(g.C, j.Cols)
 	for c := 0; c < g.C; c++ {
 		dst := jy.Row(c)
 		for i := c * plane; i < (c+1)*plane; i++ {
@@ -260,6 +261,7 @@ func (g *GlobalAvgPool) JVP(x []float64, j *tensor.Matrix, _ *JVPTrace) ([]float
 			}
 		}
 	}
+	tensor.PutMatrix(j)
 	return y, jy
 }
 
@@ -346,7 +348,7 @@ func (m *MeanTokens) Backward(dy *tensor.Matrix) *tensor.Matrix {
 func (m *MeanTokens) JVP(x []float64, j *tensor.Matrix, _ *JVPTrace) ([]float64, *tensor.Matrix) {
 	y := m.Forward(x, nil)
 	inv := 1 / float64(m.T)
-	jy := tensor.New(m.D, j.Cols)
+	jy := tensor.GetMatrixZero(m.D, j.Cols)
 	for t := 0; t < m.T; t++ {
 		for d := 0; d < m.D; d++ {
 			src := j.Row(t*m.D + d)
@@ -356,6 +358,7 @@ func (m *MeanTokens) JVP(x []float64, j *tensor.Matrix, _ *JVPTrace) ([]float64,
 			}
 		}
 	}
+	tensor.PutMatrix(j)
 	return y, jy
 }
 

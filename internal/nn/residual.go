@@ -131,17 +131,29 @@ func backwardChain(layers []Layer, dy *tensor.Matrix) *tensor.Matrix {
 	return dy
 }
 
-// JVP propagates value and tangent through both paths and sums them.
+// JVP propagates value and tangent through both paths and sums them. The
+// body runs on a pooled copy of j and the shortcut on j itself; the
+// shortcut's tangent is then added into the body's. A stop inside either
+// path returns that path's value and tangent.
 func (r *Residual) JVP(x []float64, j *tensor.Matrix, jtr *JVPTrace) ([]float64, *tensor.Matrix) {
-	bv, bj := x, j
+	bv, bj := x, tensor.GetMatrix(j.Rows, j.Cols)
+	bj.CopyFrom(j)
 	for _, l := range r.Body {
-		bv, bj = l.JVP(bv, bj, jtr)
+		if bv, bj = l.JVP(bv, bj, jtr); jtr.stopped() {
+			tensor.PutMatrix(j)
+			return bv, bj
+		}
 	}
 	sv, sj := x, j
 	for _, l := range r.Shortcut {
-		sv, sj = l.JVP(sv, sj, jtr)
+		if sv, sj = l.JVP(sv, sj, jtr); jtr.stopped() {
+			tensor.PutMatrix(bj)
+			return sv, sj
+		}
 	}
-	return tensor.VecAdd(bv, sv), tensor.Add(bj, sj)
+	bj.AddInPlace(sj)
+	tensor.PutMatrix(sj)
+	return tensor.VecAdd(bv, sv), bj
 }
 
 // Params returns all parameters of both paths.

@@ -88,6 +88,7 @@ func TestReluInJacobianMatchesFD(t *testing.T) {
 	x := randBatch(rng, 1, conv.InSize()).Row(0)
 	for site := 0; site < 2; site++ {
 		u, j := net.ReluInJacobian(x, site)
+		defer tensor.PutMatrix(j)
 		fd := fdJacobian(func(xx []float64) []float64 {
 			return net.ForwardTraceToReLU(xx, site).ReluIn[site]
 		}, x, 1e-6)

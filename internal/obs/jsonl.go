@@ -163,7 +163,8 @@ type Trace struct {
 }
 
 // ReadTrace parses a JSONL trace. Unknown record types are skipped so the
-// format can grow; malformed lines are errors.
+// format can grow; malformed lines are errors, and so is a span tree the
+// renderers cannot walk (see checkSpanTree).
 func ReadTrace(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -199,5 +200,45 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("obs: reading trace: %w", err)
 	}
+	if err := checkSpanTree(tr.Spans); err != nil {
+		return nil, err
+	}
 	return tr, nil
+}
+
+// checkSpanTree rejects two spans that share an ID and any span that is its
+// own ancestor: walking such a tree from a root never ends. A parent that
+// is missing from the file is legal, because a truncated trace has those.
+func checkSpanTree(spans []SpanRecord) error {
+	parent := make(map[uint64]uint64, len(spans))
+	for _, s := range spans {
+		if _, dup := parent[s.ID]; dup {
+			return fmt.Errorf("obs: trace has two spans with id %d", s.ID)
+		}
+		parent[s.ID] = s.Parent
+	}
+	// Walk each span's ancestor chain once; a chain that meets itself is a
+	// cycle, and one that meets an already-checked span ends there.
+	const onChain, checked = 1, 2
+	state := make(map[uint64]int8, len(spans))
+	var chain []uint64
+	for _, s := range spans {
+		chain = chain[:0]
+		for id := s.ID; state[id] != checked; {
+			if state[id] == onChain {
+				return fmt.Errorf("obs: trace span %d is its own ancestor", id)
+			}
+			p, ok := parent[id]
+			if !ok {
+				break
+			}
+			state[id] = onChain
+			chain = append(chain, id)
+			id = p
+		}
+		for _, id := range chain {
+			state[id] = checked
+		}
+	}
+	return nil
 }

@@ -275,6 +275,30 @@ func TestReadTraceErrors(t *testing.T) {
 	}
 }
 
+// TestReadTraceRejectsCycles pins the span-tree checks at the trust
+// boundary: a cyclic or ambiguous parent graph would make every renderer's
+// tree walk loop until memory runs out, so the reader refuses it. A parent
+// missing from the file stays legal: a truncated trace has those.
+func TestReadTraceRejectsCycles(t *testing.T) {
+	const summary = `{"type":"summary","span":1,"times_ns":{"learning_attack":5},"queries":{}}` + "\n"
+	for name, spans := range map[string]string{
+		"self-parented": `{"type":"span","id":1,"parent":1,"name":"x","proc":"learning_attack","dur_ns":5}` + "\n",
+		"two-span cycle": `{"type":"span","id":1,"parent":2,"name":"x","dur_ns":5}` + "\n" +
+			`{"type":"span","id":2,"parent":1,"name":"y","dur_ns":5}` + "\n",
+		"shared id": `{"type":"span","id":1,"name":"x","dur_ns":5}` + "\n" +
+			`{"type":"span","id":1,"name":"y","dur_ns":5}` + "\n",
+	} {
+		if _, err := ReadTrace(strings.NewReader(spans + summary)); err == nil {
+			t.Errorf("%s: trace accepted", name)
+		}
+	}
+	truncated := `{"type":"span","id":3,"parent":2,"name":"x","dur_ns":5}` + "\n" +
+		`{"type":"span","id":4,"parent":3,"name":"y","dur_ns":5}` + "\n"
+	if _, err := ReadTrace(strings.NewReader(truncated)); err != nil {
+		t.Errorf("truncated trace with a missing parent rejected: %v", err)
+	}
+}
+
 // TestSinkErrorSurfaced checks the first write error is kept and returned
 // by Close instead of being silently dropped.
 func TestSinkErrorSurfaced(t *testing.T) {

@@ -47,12 +47,22 @@ func PutMatrix(ms ...*Matrix) {
 	}
 }
 
-var vecPool sync.Pool
+// vecPool holds workspace slices behind *[]float64 boxes, because a
+// sync.Pool stores interface values and a bare slice would be boxed on every
+// Put. Emptied boxes wait in boxPool for the next Put, so a GetVec/PutVec
+// cycle allocates nothing once both pools are warm.
+var vecPool, boxPool sync.Pool
 
 // GetVec returns a length-n workspace slice with arbitrary contents.
 func GetVec(n int) []float64 {
-	if p, _ := vecPool.Get().(*[]float64); p != nil && cap(*p) >= n {
-		return (*p)[:n]
+	if p, _ := vecPool.Get().(*[]float64); p != nil {
+		v := *p
+		*p = nil
+		boxPool.Put(p)
+		if cap(v) >= n {
+			return v[:n]
+		}
+		// Too small for this request: drop it and allocate fresh.
 	}
 	return make([]float64, n)
 }
@@ -62,5 +72,10 @@ func PutVec(v []float64) {
 	if cap(v) == 0 {
 		return
 	}
-	vecPool.Put(&v)
+	p, _ := boxPool.Get().(*[]float64)
+	if p == nil {
+		p = new([]float64)
+	}
+	*p = v
+	vecPool.Put(p)
 }
