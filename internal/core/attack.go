@@ -39,12 +39,10 @@ type Attack struct {
 	// persistent transient failures or split majority votes.
 	degraded atomic.Int64
 
-	// Query-planner state (planner.go). coal is the active cross-goroutine
-	// coalescer, non-nil only inside a withCoalescer region; memo is the
-	// opt-in probe cache (nil unless cfg.ProbeCache); crit accumulates
-	// bisection round/probe counts (cfg.critStats points at it so the
-	// search code in critical.go, which has no *Attack, can report).
-	coal atomic.Pointer[coalescer]
+	// Query-planner state (planner.go). memo is the opt-in probe cache (nil
+	// unless cfg.ProbeCache); crit accumulates bisection round/probe counts
+	// (cfg.critStats points at it so the search code in critical.go, which
+	// has no *Attack, can report).
 	memo *probeMemo
 	crit critStats
 
@@ -115,9 +113,9 @@ func loggerFor(cfg Config) *slog.Logger {
 	return obs.Default(os.Stderr)
 }
 
-// startRoot opens the attack's root span — the rollup anchor of a.bd, so
-// every proc-labelled phase span that ends under it populates the Figure 3
-// breakdown — parented to cfg.TraceParent when the harness provides one.
+// startRoot opens the attack's root span, parented to cfg.TraceParent when
+// the harness provides one. The span anchors a.bd: every proc-labelled phase
+// span that ends under it adds to the Figure 3 breakdown.
 func (a *Attack) startRoot(name string, attrs ...obs.Attr) *obs.Span {
 	var sp *obs.Span
 	if p := a.cfg.TraceParent; p != nil {
@@ -145,11 +143,10 @@ func (a *Attack) trackProc(parent *obs.Span, proc metrics.Procedure, f func()) {
 	f()
 	a.phase = nil
 	sp.AddQueries(a.orc.Queries() - q0)
-	// Rounds are attributed only here, on phase spans: a coalesced round is
-	// shared by several detail spans, so per-detail attribution would double
-	// count. withCoalescer drains its batches before f returns, keeping the
-	// delta exact. Simulated channel time (farm transports) follows the same
-	// delta discipline.
+	// Rounds are attributed only here, on phase spans, from the same exact
+	// counter delta as queries: every round a phase issues has returned
+	// before f does. Simulated channel time (farm transports) follows the
+	// same delta discipline.
 	sp.AddRounds(a.orc.Rounds() - r0)
 	sp.AddSimNS(int64(simElapsed(a.orc) - s0))
 	sp.End()

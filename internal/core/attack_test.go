@@ -68,25 +68,50 @@ func TestParallelForDeterministicRNGSeeds(t *testing.T) {
 	}
 }
 
+// TestDecryptParallelWorkersMatchSerial: the worker count (§4.1) is an
+// implementation detail, not a semantics change. The recovered key and
+// every oracle count, rounds included, are identical at any width, on a
+// negation lock and on a bias-shift lock whose validations send a second
+// batch of alternative kink locations.
 func TestDecryptParallelWorkersMatchSerial(t *testing.T) {
-	// The recovered key must be identical regardless of worker count
-	// (§4.1 parallelism is an implementation detail, not a semantics
-	// change).
-	rng := rand.New(rand.NewSource(403))
-	net := models.TinyMLP(rng)
-	white, spec, orc, key := lockAndOracle(net, hpnn.Config{
-		Scheme: hpnn.Negation, KeyBits: 8, Rng: rng,
-	})
-	for _, workers := range []int{1, 8} {
-		cfg := DefaultConfig()
-		cfg.Workers = workers
-		cfg.Seed = 404
-		res, err := Run(white, spec, orc, cfg)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if res.Key.Fidelity(key) != 1 {
-			t.Fatalf("workers=%d: fidelity %.3f", workers, res.Key.Fidelity(key))
+	locks := []struct {
+		name string
+		seed int64
+		lcfg hpnn.Config
+	}{
+		{"negation", 403, hpnn.Config{Scheme: hpnn.Negation, KeyBits: 8}},
+		{"bias-shift", 102, hpnn.Config{Scheme: hpnn.BiasShift, Alpha: 0.8, KeyBits: 8}},
+	}
+	for _, l := range locks {
+		rng := rand.New(rand.NewSource(l.seed))
+		net := models.TinyMLP(rng)
+		l.lcfg.Rng = rng
+		white, spec, orc, key := lockAndOracle(net, l.lcfg)
+		var serial *Result
+		for _, workers := range []int{1, 2, 8} {
+			cfg := DefaultConfig()
+			cfg.Workers = workers
+			cfg.Seed = 404
+			res, err := Run(white, spec, orc, cfg)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", l.name, workers, err)
+			}
+			if res.Key.Fidelity(key) != 1 {
+				t.Fatalf("%s workers=%d: fidelity %.3f", l.name, workers, res.Key.Fidelity(key))
+			}
+			if serial == nil {
+				serial = res
+				continue
+			}
+			if !reflect.DeepEqual(res.Key, serial.Key) || res.Queries != serial.Queries ||
+				res.Rounds != serial.Rounds || res.Degraded != serial.Degraded ||
+				!reflect.DeepEqual(res.QueriesByProc, serial.QueriesByProc) ||
+				!reflect.DeepEqual(res.RoundsByProc, serial.RoundsByProc) {
+				t.Fatalf("%s workers=%d differs from one worker:\n key %v queries %d rounds %d degraded %d\n  %v %v\n"+
+					"one worker:\n key %v queries %d rounds %d degraded %d\n  %v %v",
+					l.name, workers, res.Key, res.Queries, res.Rounds, res.Degraded, res.QueriesByProc, res.RoundsByProc,
+					serial.Key, serial.Queries, serial.Rounds, serial.Degraded, serial.QueriesByProc, serial.RoundsByProc)
+			}
 		}
 	}
 }

@@ -6,11 +6,13 @@
 // (§4.3) and the §3.9 variant reductions.
 //
 // Oracle traffic is shaped by the query planner (planner.go): every
-// oracle-facing procedure routes its probes through a batching seam that
-// coalesces same-round probes into QueryBatch round-trips, so rounds — the
+// oracle-facing procedure routes its probes through a batching seam, and
+// each procedure builds its batches explicitly, in index order — one per
+// inference probe, one for all the votes of a validation. Rounds — the
 // quantity that pays network latency against a remote device — shrink
-// without changing query counts or recovered keys. Config.Multisect and
-// Config.ProbeCache trade probes for rounds further.
+// without changing query counts or recovered keys, and no count depends on
+// the core count. Config.Multisect and Config.ProbeCache trade probes for
+// rounds further.
 //
 // Long runs are suspendable: Config.OnCheckpoint receives a versioned,
 // serializable Checkpoint at every site boundary, and Resume continues a
@@ -134,8 +136,8 @@ type Config struct {
 	// reported query counts below the paper's.
 	ProbeCache bool
 	// DisablePlanner restores the pre-planner scalar query path: every
-	// multi-point probe issues its points as sequential Query calls and no
-	// cross-goroutine coalescing happens. Results and query counts are
+	// multi-point probe, a validation's vote batch included, issues its
+	// points as sequential Query calls. Results and query counts are
 	// bit-identical to the planner path on a clean oracle (pinned by
 	// TestPlannerEquivalence); only the round-trip count differs. Exists
 	// for that equivalence test and for A/B benchmarks.

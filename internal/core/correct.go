@@ -3,8 +3,6 @@ package core
 import (
 	"math/rand"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"dnnlock/internal/obs"
 )
@@ -13,11 +11,12 @@ import (
 // validation group are ordered by ascending learning confidence (algebraic
 // bits carry confidence 1 and effectively never flip first); candidate
 // keys at Hamming distance 1, 2, … from the current hypothesis are
-// validated against the oracle in parallel; the first candidate that
-// passes is committed. It returns false when the Hamming budget is
-// exhausted. A winner is committed even if other candidates hit terminal
-// oracle errors — a repaired key beats reporting the failure — but with no
-// winner the lowest-index error is surfaced.
+// validated against the oracle one at a time in that order, candidate ci of
+// a radius drawing its RNG from seedBase+ci; the first candidate that passes
+// is committed. It returns false when the Hamming budget is exhausted. A
+// candidate that hits a terminal oracle error is skipped — a repaired key
+// beats reporting the failure — but with no candidate passing the
+// lowest-index error is surfaced.
 func (a *Attack) errorCorrection(groupSites, groupBits []int, rng *rand.Rand) (bool, error) {
 	// Candidate pool: lowest-confidence bits first.
 	pool := append([]int(nil), groupBits...)
@@ -27,42 +26,30 @@ func (a *Attack) errorCorrection(groupSites, groupBits []int, rng *rand.Rand) (b
 	if len(pool) > a.cfg.CorrectionPool {
 		pool = pool[:a.cfg.CorrectionPool]
 	}
+	var crng *rand.Rand
 	for h := 1; h <= a.cfg.MaxCorrectionHamming && h <= len(pool); h++ {
 		combos := combinations(len(pool), h)
-		var winner atomic.Int64
-		winner.Store(-1)
-		var mu sync.Mutex // serializes winner bookkeeping
-		errs := make([]error, len(combos))
-		// Candidate validations coalesce: probe groups from concurrent
-		// candidates (and the votes inside each validation, which reuse
-		// this region) share oracle rounds.
-		a.withCoalescer(func() {
-			a.parallelFor(len(combos), rng.Int63(), func(ci int, wrng *rand.Rand) {
-				if winner.Load() >= 0 {
-					return
+		seedBase := rng.Int63()
+		var firstErr error
+		for ci, combo := range combos {
+			crng = reseed(crng, seedBase+int64(ci))
+			cand := a.applier.clone(a.white)
+			for _, pi := range combo {
+				si := pool[pi]
+				pn := a.spec.Neurons[si]
+				a.applier.apply(cand, pn, si, !a.applier.read(cand, pn, si))
+			}
+			valid, err := a.keyVectorValidation(cand, groupSites, crng)
+			if err != nil {
+				if firstErr == nil {
+					firstErr = err
 				}
-				cand := a.applier.clone(a.white)
-				for _, pi := range combos[ci] {
-					si := pool[pi]
-					pn := a.spec.Neurons[si]
-					a.applier.apply(cand, pn, si, !a.applier.read(cand, pn, si))
-				}
-				valid, err := a.keyVectorValidation(cand, groupSites, wrng)
-				if err != nil {
-					errs[ci] = err
-					return
-				}
-				if valid {
-					mu.Lock()
-					if winner.Load() < 0 {
-						winner.Store(int64(ci))
-					}
-					mu.Unlock()
-				}
-			})
-		})
-		if w := winner.Load(); w >= 0 {
-			for _, pi := range combos[w] {
+				continue
+			}
+			if !valid {
+				continue
+			}
+			for _, pi := range combo {
 				si := pool[pi]
 				bit := !a.applier.read(a.white, a.spec.Neurons[si], si)
 				a.setBit(si, bit, 1, OriginCorrection)
@@ -71,10 +58,8 @@ func (a *Attack) errorCorrection(groupSites, groupBits []int, rng *rand.Rand) (b
 			a.log.Info("error correction committed", "hamming", h, "flipped", h)
 			return true, nil
 		}
-		for _, err := range errs {
-			if err != nil {
-				return false, err
-			}
+		if firstErr != nil {
+			return false, firstErr
 		}
 	}
 	return false, nil

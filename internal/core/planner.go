@@ -4,22 +4,18 @@ package core
 // oracle.Interface (enforced by the `queryseam` dnnlint analyzer). The
 // planner exists because a remote oracle pays per round-trip, not per row:
 // QueryBatch evaluates any number of rows in one round, so every multi-point
-// probe — the three points of a second difference, the kink+background pair
-// of a validation vote — should travel together, and concurrent probes from
-// parallel validation votes or error-correction candidates should share a
-// batch. Three mechanisms, layered:
+// probe — the three points of a second difference, the kink+background
+// groups of a whole validation — should travel together. Two mechanisms:
 //
 //  1. multi: a probe group issued as one QueryBatch with the rows in the
 //     exact order the scalar path would have queried them, so values and
-//     query counts are bit-identical by construction. On by default;
-//     cfg.DisablePlanner restores the sequential scalar path (the
+//     query counts are bit-identical by construction. Callers build each
+//     group explicitly, in index order — one per inference probe, one for
+//     all the votes of a validation (kinkVotes) — so the batches, and with
+//     them queries and rounds, never depend on the core count. On by
+//     default; cfg.DisablePlanner restores the sequential scalar path (the
 //     equivalence test pins the two paths against each other).
-//  2. coalescer: a cross-goroutine micro-batcher. Inside a withCoalescer
-//     region (validation votes, correction candidates), probe groups from
-//     concurrent workers are merged into one oracle batch, bounded by a row
-//     cap and a flush window. Row values are unaffected — the oracle
-//     evaluates rows independently — only the round count shrinks.
-//  3. probeMemo (opt-in, cfg.ProbeCache): a content-addressed cache serving
+//  2. probeMemo (opt-in, cfg.ProbeCache): a content-addressed cache serving
 //     repeat points without touching the oracle. Changes query counts, so
 //     it is never on by default.
 //
@@ -32,7 +28,6 @@ import (
 	"math"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"dnnlock/internal/obs"
 	"dnnlock/internal/oracle"
@@ -66,10 +61,6 @@ func (s *critStats) count(n int64) {
 // counts every attempt and retry (it never receives the phase span itself —
 // phase query counts come from the oracle-counter delta in trackProc, and
 // double counting there would corrupt the Figure 3 rollup).
-//
-// Inside a withCoalescer region the point rides a shared batch, so
-// concurrent single-point callers (directCompare across correction
-// candidates) split one round-trip.
 func (a *Attack) query(sp *obs.Span, x []float64) ([]float64, error) {
 	var key string
 	if a.memo != nil {
@@ -78,13 +69,7 @@ func (a *Attack) query(sp *obs.Span, x []float64) ([]float64, error) {
 			return y, nil
 		}
 	}
-	var y []float64
-	var err error
-	if c := a.coal.Load(); c != nil {
-		y, err = c.single(sp, x)
-	} else {
-		y, err = queryRetry(a.orc, x, a.cfg.QueryRetries, sp)
-	}
+	y, err := queryRetry(a.orc, x, a.cfg.QueryRetries, sp)
 	if err == nil && a.memo != nil {
 		a.memo.put(key, y)
 	}
@@ -92,8 +77,7 @@ func (a *Attack) query(sp *obs.Span, x []float64) ([]float64, error) {
 }
 
 // queryBatch asks the oracle for a bulk labelling batch (the learning
-// attack's random inputs). Bulk batches are already one round each and far
-// above the coalescer's row cap, so they go straight to the retry seam.
+// attack's random inputs), one round per batch, bypassing the probe memo.
 func (a *Attack) queryBatch(sp *obs.Span, x *tensor.Matrix) (*tensor.Matrix, error) {
 	return queryBatchRetry(a.orc, x, a.cfg.QueryRetries, sp)
 }
@@ -109,15 +93,6 @@ func (a *Attack) multi(sp *obs.Span, x *tensor.Matrix) (*tensor.Matrix, error) {
 	}
 	if a.memo != nil {
 		return a.multiMemo(sp, x)
-	}
-	return a.multiDirect(sp, x)
-}
-
-// multiDirect sends the group to the active coalescer, or straight to the
-// retry seam as its own batch.
-func (a *Attack) multiDirect(sp *obs.Span, x *tensor.Matrix) (*tensor.Matrix, error) {
-	if c := a.coal.Load(); c != nil {
-		return c.submit(sp, x)
 	}
 	return queryBatchRetry(a.orc, x, a.cfg.QueryRetries, sp)
 }
@@ -174,7 +149,7 @@ func (a *Attack) multiMemo(sp *obs.Span, x *tensor.Matrix) (*tensor.Matrix, erro
 			xm.SetRow(k, x.Row(i))
 		}
 		var err error
-		ym, err = a.multiDirect(sp, xm)
+		ym, err = queryBatchRetry(a.orc, xm, a.cfg.QueryRetries, sp)
 		tensor.PutMatrix(xm)
 		if err != nil {
 			return nil, err
@@ -241,206 +216,6 @@ func queryBatchRetry(orc oracle.Interface, x *tensor.Matrix, retries int, sp *ob
 		}
 	}
 	return nil, err
-}
-
-// --- coalescer -------------------------------------------------------------
-
-const (
-	// coalMaxRows caps a merged batch. Votes contribute 3–6 rows each, so
-	// 64 rows merge ~10–20 concurrent probe groups — comfortably above the
-	// worker counts the attack runs with.
-	coalMaxRows = 64
-	// coalFlushWindow bounds how long the collector waits for more groups
-	// after the first arrives. It only matters when the in-flight-requester
-	// count is racing upward; the common flush trigger is "every currently
-	// waiting requester is aboard", which fires immediately.
-	coalFlushWindow = 100 * time.Microsecond
-)
-
-// coalResp carries one requester's slice of a merged batch. out is pooled
-// and owned by the requester.
-type coalResp struct {
-	out *tensor.Matrix
-	err error
-}
-
-// coalReq is one probe group waiting to ride a shared oracle round. rows is
-// borrowed from the requester until resp is delivered.
-type coalReq struct {
-	rows *tensor.Matrix
-	sp   *obs.Span
-	resp chan coalResp
-}
-
-// coalescer merges probe groups from concurrent goroutines into shared
-// oracle batches. One collector goroutine owns the batching; requesters
-// block on their response channel, so a request's lifetime never outlives
-// the withCoalescer region that issued it.
-type coalescer struct {
-	a       *Attack
-	reqs    chan *coalReq
-	waiting atomic.Int64 // requesters between submit-entry and response
-	done    sync.WaitGroup
-
-	batches atomic.Int64 // oracle rounds issued (coalesced batches)
-	groups  atomic.Int64 // probe groups served
-}
-
-func newCoalescer(a *Attack) *coalescer {
-	c := &coalescer{a: a, reqs: make(chan *coalReq, a.cfg.Workers)}
-	c.done.Add(1)
-	//lint:ignore nakedgo single collector goroutine, joined by stop() through the WaitGroup before withCoalescer returns
-	go c.collect()
-	return c
-}
-
-// submit sends one probe group and blocks for its slice of the merged
-// response. rows is only read until the response arrives.
-func (c *coalescer) submit(sp *obs.Span, rows *tensor.Matrix) (*tensor.Matrix, error) {
-	req := &coalReq{rows: rows, sp: sp, resp: make(chan coalResp, 1)}
-	c.waiting.Add(1)
-	c.reqs <- req
-	//lint:ignore determinism private single-producer response channel: exactly one value ever arrives, so receive order cannot vary
-	r := <-req.resp
-	c.waiting.Add(-1)
-	return r.out, r.err
-}
-
-// single is submit for one point, unpacking the 1-row group.
-func (c *coalescer) single(sp *obs.Span, x []float64) ([]float64, error) {
-	rows := tensor.GetMatrix(1, len(x))
-	rows.SetRow(0, x)
-	out, err := c.submit(sp, rows)
-	tensor.PutMatrix(rows)
-	if err != nil {
-		return nil, err
-	}
-	y := append([]float64(nil), out.Row(0)...)
-	tensor.PutMatrix(out)
-	return y, nil
-}
-
-// collect is the collector loop: gather groups until the batch is full,
-// every currently waiting requester is aboard, or the flush window expires;
-// then issue one oracle round and split the response.
-func (c *coalescer) collect() {
-	defer c.done.Done()
-	for {
-		//lint:ignore determinism batch composition is timing-dependent by design; rows are evaluated independently by the oracle, so merge boundaries cannot change any value or query count
-		first, ok := <-c.reqs
-		if !ok {
-			return
-		}
-		batch := []*coalReq{first}
-		rows := first.rows.Rows
-		timer := time.NewTimer(coalFlushWindow)
-	gather:
-		for rows < coalMaxRows && int64(len(batch)) < c.waiting.Load() {
-			//lint:ignore determinism batch composition is timing-dependent by design; rows are evaluated independently by the oracle, so merge boundaries cannot change any value or query count
-			select {
-			//lint:ignore determinism same justification: the receive only decides which requests share a batch
-			case r, ok := <-c.reqs:
-				if !ok {
-					break gather
-				}
-				batch = append(batch, r)
-				rows += r.rows.Rows
-			case <-timer.C:
-				break gather
-			}
-		}
-		timer.Stop()
-		c.flush(batch, rows)
-	}
-}
-
-// flush issues one merged oracle round for the gathered groups, retrying the
-// whole batch on transient failures (each requester's detail span counts its
-// own rows per attempt, mirroring what its private retries would have
-// counted), then splits the pooled response back per request.
-func (c *coalescer) flush(batch []*coalReq, rows int) {
-	c.batches.Add(1)
-	c.groups.Add(int64(len(batch)))
-	x := tensor.GetMatrix(rows, batch[0].rows.Cols)
-	at := 0
-	for _, r := range batch {
-		for i := 0; i < r.rows.Rows; i++ {
-			x.SetRow(at, r.rows.Row(i))
-			at++
-		}
-	}
-	var y *tensor.Matrix
-	var err error
-	for t := 0; t <= c.a.cfg.QueryRetries; t++ {
-		if t > 0 {
-			for _, r := range batch {
-				r.sp.AddRetry()
-			}
-		}
-		for _, r := range batch {
-			r.sp.AddQueries(int64(r.rows.Rows))
-		}
-		y, err = c.a.orc.QueryBatch(x)
-		if err == nil {
-			break
-		}
-		tensor.PutMatrix(y) // nil on error; nil-safe
-		y = nil
-		if !errors.Is(err, oracle.ErrTransient) {
-			break
-		}
-	}
-	tensor.PutMatrix(x)
-	if err != nil {
-		// The whole round failed: every rider sees the same error. Budget
-		// exhaustion is all-or-nothing at the oracle already; transient
-		// faults were retried above.
-		for _, r := range batch {
-			r.resp <- coalResp{nil, err}
-		}
-		//lint:ignore poolpair y is nil here: every failing retry iteration above Put-and-niled it, and err != nil excludes the break-on-success path the path-insensitive solver also sees
-		return
-	}
-	at = 0
-	for _, r := range batch {
-		out := tensor.GetMatrix(r.rows.Rows, y.Cols)
-		for i := 0; i < r.rows.Rows; i++ {
-			copy(out.Row(i), y.Row(at))
-			at++
-		}
-		//lint:transfer out: ownership passes to the requester through the response channel
-		r.resp <- coalResp{out, nil}
-	}
-	tensor.PutMatrix(y)
-}
-
-// stop closes the intake and joins the collector. Callers guarantee every
-// submit has returned (the region's goroutines are joined first).
-func (c *coalescer) stop() {
-	close(c.reqs)
-	c.done.Wait()
-}
-
-// withCoalescer runs f with cross-goroutine micro-batching active: probe
-// groups issued by f's goroutines (through query/multi) share oracle
-// rounds. Reentrant — a region opened inside another (validation inside
-// error correction) reuses the outer coalescer. The coalescer is fully
-// drained and stopped before withCoalescer returns, so trackProc's
-// round-counter deltas stay exact.
-func (a *Attack) withCoalescer(f func()) {
-	if a.cfg.DisablePlanner || a.coal.Load() != nil {
-		f()
-		return
-	}
-	c := newCoalescer(a)
-	if !a.coal.CompareAndSwap(nil, c) {
-		c.stop()
-		f()
-		return
-	}
-	f()
-	a.coal.Store(nil)
-	c.stop()
 }
 
 // --- probe memo ------------------------------------------------------------

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"errors"
 	"math"
 	"math/rand"
-	"sync/atomic"
 	"testing"
 
 	"dnnlock/internal/hpnn"
@@ -68,8 +66,9 @@ func TestPlannerEquivalence(t *testing.T) {
 	if on, off := planned.RoundsByProc[kb], legacy.RoundsByProc[kb]; off > 0 && on*3 > off {
 		t.Fatalf("inference rounds %d vs %d: want >= 3x reduction", on, off)
 	}
-	// Validation mixes votes (6-row groups, coalesced) with scalar spot
-	// checks, so its reduction is shallower but must still be visible.
+	// Validation sends all its votes' 6-row groups as one batch but keeps
+	// scalar spot checks (direct comparison), so its reduction is shallower
+	// but must still be visible.
 	v := metrics.ProcKeyVectorValidation
 	if on, off := planned.RoundsByProc[v], legacy.RoundsByProc[v]; off > 0 && on >= off {
 		t.Fatalf("validation rounds %d vs %d: no reduction", on, off)
@@ -202,144 +201,5 @@ func TestProbeCacheDedups(t *testing.T) {
 		if yb.At(1, c) != y1[c] {
 			t.Fatal("cached row answered differently from the original query")
 		}
-	}
-}
-
-// TestCoalescerServesConcurrentGroups: probe groups submitted from many
-// goroutines all get their own rows back bit-identically, every row is
-// counted exactly once, and the round count never exceeds the group count.
-func TestCoalescerServesConcurrentGroups(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Workers = 8
-	a, orc := newPlannerAttack(t, cfg)
-	p := a.white.InSize()
-
-	const groups = 24
-	inputs := make([]*tensor.Matrix, groups)
-	for g := 0; g < groups; g++ {
-		rng := rand.New(rand.NewSource(int64(g) + 500))
-		m := tensor.GetMatrix(3, p)
-		for i := 0; i < 3; i++ {
-			fillRandomPoint(m.Row(i), 1, rng)
-		}
-		//lint:transfer m: held in inputs and released after the coalesced run below
-		inputs[g] = m
-	}
-	refs := make([][]float64, groups*3)
-	for g := 0; g < groups; g++ {
-		for i := 0; i < 3; i++ {
-			y, err := orc.Query(inputs[g].Row(i))
-			if err != nil {
-				t.Fatal(err)
-			}
-			refs[g*3+i] = y
-		}
-	}
-	orc.ResetCounter()
-
-	got := make([]*tensor.Matrix, groups)
-	var firstErr atomic.Value
-	a.withCoalescer(func() {
-		a.parallelFor(groups, 1, func(g int, _ *rand.Rand) {
-			y, err := a.multi(nil, inputs[g])
-			if err != nil {
-				firstErr.Store(err)
-				return
-			}
-			got[g] = y
-		})
-	})
-	if e := firstErr.Load(); e != nil {
-		t.Fatal(e)
-	}
-	for g := 0; g < groups; g++ {
-		tensor.PutMatrix(inputs[g])
-		for i := 0; i < 3; i++ {
-			for c := range refs[g*3+i] {
-				if got[g].At(i, c) != refs[g*3+i][c] {
-					t.Fatalf("group %d row %d differs from a direct query", g, i)
-				}
-			}
-		}
-		tensor.PutMatrix(got[g])
-	}
-	if orc.Queries() != groups*3 {
-		t.Fatalf("coalesced queries = %d, want %d (coalescing must not change row counts)",
-			orc.Queries(), groups*3)
-	}
-	if r := orc.Rounds(); r <= 0 || r > groups {
-		t.Fatalf("coalesced rounds = %d, want in [1, %d]", r, groups)
-	}
-	if a.coal.Load() != nil {
-		t.Fatal("coalescer still active after withCoalescer returned")
-	}
-}
-
-// TestCoalescerNestedRegionsReuse: a withCoalescer region opened inside
-// another must reuse the outer coalescer, not deadlock on a second one.
-func TestCoalescerNestedRegionsReuse(t *testing.T) {
-	a, orc := newPlannerAttack(t, DefaultConfig())
-	x := tensor.GetMatrix(2, a.white.InSize())
-	fillRandomPoint(x.Row(0), 1, rand.New(rand.NewSource(1)))
-	fillRandomPoint(x.Row(1), 1, rand.New(rand.NewSource(2)))
-	ran := false
-	a.withCoalescer(func() {
-		outer := a.coal.Load()
-		a.withCoalescer(func() {
-			if a.coal.Load() != outer {
-				t.Error("nested region replaced the outer coalescer")
-			}
-			y, err := a.multi(nil, x)
-			if err != nil {
-				t.Errorf("nested multi: %v", err)
-				return
-			}
-			tensor.PutMatrix(y)
-			ran = true
-		})
-	})
-	tensor.PutMatrix(x)
-	if !ran {
-		t.Fatal("nested region never ran")
-	}
-	if orc.Queries() != 2 || orc.Rounds() != 1 {
-		t.Fatalf("queries=%d rounds=%d, want 2/1", orc.Queries(), orc.Rounds())
-	}
-}
-
-// TestCoalescerPropagatesTerminalErrors: a batch that fails terminally
-// (budget exhausted) errors every rider with the cause visible through
-// errors.Is, and no output buffers are delivered.
-func TestCoalescerPropagatesTerminalErrors(t *testing.T) {
-	rng := rand.New(rand.NewSource(88))
-	white, spec, orc, _ := lockAndOracle(models.TinyMLP(rng), hpnn.Config{
-		Scheme: hpnn.Negation, KeyBits: 6, Rng: rng,
-	})
-	cfg := DefaultConfig()
-	cfg.Workers = 4
-	a := New(white, spec, oracle.Budgeted(orc, 0), cfg)
-
-	errs := make([]error, 8)
-	a.withCoalescer(func() {
-		a.parallelFor(len(errs), 1, func(i int, r *rand.Rand) {
-			x := tensor.GetMatrix(3, a.white.InSize())
-			for j := 0; j < 3; j++ {
-				fillRandomPoint(x.Row(j), 1, r)
-			}
-			y, err := a.multi(nil, x)
-			tensor.PutMatrix(x)
-			if err == nil {
-				tensor.PutMatrix(y)
-			}
-			errs[i] = err
-		})
-	})
-	for i, err := range errs {
-		if !errors.Is(err, oracle.ErrBudgetExhausted) {
-			t.Fatalf("rider %d: err = %v, want ErrBudgetExhausted", i, err)
-		}
-	}
-	if orc.Queries() != 0 {
-		t.Fatalf("exhausted budget still let %d queries through", orc.Queries())
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"math/rand"
 	"sort"
-	"sync/atomic"
 
 	"dnnlock/internal/geometry"
 	"dnnlock/internal/hpnn"
@@ -94,8 +93,13 @@ func (a *Attack) decidedFlipSites() map[int]bool {
 
 // keyVectorValidation checks the candidate key currently written into net
 // for the pending group of sites (§3.7). The caller must have confirmed a
-// probe exists via validationProbe. A non-nil error is terminal; a
-// hyperplane vote degraded by persistent transient failures simply abstains.
+// probe exists via validationProbe. Every vote is first planned on the white
+// box, in parallel (planVote); the planned probe groups then reach the
+// oracle as one batch in vote order (sendVotes). Under the bias-shift and
+// weight-perturbation variants the votes that batch did not confirm plan
+// their alternative kink location and send it as a second batch. A non-nil
+// error is terminal; a batch degraded by persistent transient failures
+// abstains all its votes.
 func (a *Attack) keyVectorValidation(net *nn.Network, groupSites []int, rng *rand.Rand) (bool, error) {
 	reluSite, mode := a.validationProbe(groupSites)
 	switch mode {
@@ -114,42 +118,85 @@ func (a *Attack) keyVectorValidation(net *nn.Network, groupSites []int, rng *ran
 		sample = n
 	}
 	neurons := rng.Perm(n)[:sample]
+	d := a.cfg.probeStep(a.cfg.ValidationDelta)
 
-	var votes, participants atomic.Int64
-	var err error
-	// Concurrent votes coalesce: each vote's kink+background probe group
-	// rides a shared oracle batch with the other workers' groups, so the
-	// phase's round count scales with batches, not votes.
-	a.withCoalescer(func() {
-		err = a.parallelForErr(len(neurons), rng.Int63(), func(i int, wrng *rand.Rand) error {
-			detected, ok, err := a.hyperplaneVote(net, reluSite, neurons[i], wrng)
-			if err != nil {
-				if err = a.fallthroughBottom(err); err != nil {
-					return err
-				}
-				return nil // degraded vote: abstain
-			}
-			if !ok {
-				return nil
-			}
-			participants.Add(1)
-			if detected {
-				votes.Add(1)
-			}
-			return nil
-		})
+	vsp := a.phase.ChildDetail("votes", obs.Int("relu", reluSite), obs.Int("neurons", sample))
+	plans := make([]votePlan, len(neurons))
+	seedBase := rng.Int63()
+	a.parallelFor(len(plans), seedBase, func(i int, wrng *rand.Rand) {
+		plans[i] = a.planVote(net, reluSite, neurons[i], d, seedBase+int64(i), wrng)
 	})
+	err := a.sendVotes(vsp, plans, 0, d)
+	var retry []int
+	for i, p := range plans {
+		if p.rng != nil && !p.detected && !p.abstained {
+			retry = append(retry, i)
+		}
+	}
+	if err == nil && len(retry) > 0 {
+		a.parallelFor(len(retry), 0, func(k int, _ *rand.Rand) {
+			i := retry[k]
+			p := &plans[i]
+			alt := a.applier.clone(net)
+			a.applier.apply(alt, a.spec.Neurons[p.alt], p.alt, true)
+			p.probes[1] = a.planProbe(alt, reluSite, neurons[i], d, p.rng)
+		})
+		err = a.sendVotes(vsp, plans, 1, d)
+	}
 	if err != nil {
+		vsp.End()
 		return false, err
 	}
-	p := participants.Load()
+	votes, participants := 0, 0
+	for _, p := range plans {
+		if p.abstained || (p.probes[0].x0 == nil && p.probes[1].x0 == nil) {
+			continue
+		}
+		participants++
+		if p.detected {
+			votes++
+		}
+	}
+	vsp.End(obs.Int("votes", votes), obs.Int("participants", participants))
 	a.log.Debug("validation vote", "probe_relu", reluSite,
-		"votes", votes.Load(), "participants", p)
-	if p < 3 {
+		"votes", votes, "participants", participants)
+	if participants < 3 {
 		// Too few observable hyperplanes to judge: suspicious, reject.
 		return false, nil
 	}
-	return float64(votes.Load()) >= a.cfg.ValidationMajority*float64(p), nil
+	return float64(votes) >= a.cfg.ValidationMajority*float64(participants), nil
+}
+
+// sendVotes sends kink location c of every vote that planned one as one
+// oracle batch, in vote order, and records which votes the oracle
+// confirmed. A batch degraded by persistent transient failures abstains its
+// votes; any other failure is returned.
+func (a *Attack) sendVotes(sp *obs.Span, plans []votePlan, c int, d float64) error {
+	batch := make([]voteProbe, 0, len(plans))
+	owners := make([]int, 0, len(plans))
+	for i, p := range plans {
+		if p.probes[c].x0 != nil {
+			batch = append(batch, p.probes[c])
+			owners = append(owners, i)
+		}
+	}
+	if len(batch) == 0 {
+		return nil
+	}
+	hits, err := a.kinkVotes(sp, batch, d)
+	if err != nil {
+		if err = a.fallthroughBottom(err); err != nil {
+			return err
+		}
+		for _, i := range owners {
+			plans[i].abstained = true
+		}
+		return nil
+	}
+	for k, i := range owners {
+		plans[i].detected = hits[k]
+	}
+	return nil
 }
 
 // nextSiteWithUndecided reports whether any spec bit is still undecided.
@@ -162,73 +209,78 @@ func (a *Attack) nextSiteWithUndecided() (int, bool) {
 	return 0, false
 }
 
-// hyperplaneVote checks whether the oracle has a kink where the candidate
-// network predicts one for ReLU input (reluSite, j): it finds a white-box
-// critical point x° of that input, then measures the second difference of
-// the oracle output across x° along a direction that moves the input. A
-// matching hyperplane bends the oracle output exactly at x°; a wrong
-// prefix key leaves the oracle locally affine there. A control second
-// difference away from x° calibrates background curvature (attention
-// blocks) and unrelated hyperplanes.
-//
-// Under the bias-shift and weight-perturbation variants, the undecided key
-// bit of the flip gating this ReLU moves the kink, so the vote accepts a
-// kink at either candidate location.
-func (a *Attack) hyperplaneVote(net *nn.Network, reluSite, j int, rng *rand.Rand) (detected, ok bool, err error) {
-	vsp := a.phase.ChildDetail("vote", obs.Int("relu", reluSite), obs.Int("neuron", j))
-	detected, ok, err = a.hyperplaneVoteSpanned(vsp, net, reluSite, j, rng)
-	vsp.End(obs.Bool("detected", detected), obs.Bool("participated", ok))
-	return detected, ok, err
+// voteProbe is the white-box half of one hyperplane vote at one candidate
+// kink location: a critical point x0 that the white box confirms observable,
+// the probe direction v and the control point ctrl. A nil x0 means the
+// search found no observable critical point there.
+type voteProbe struct{ x0, ctrl, v []float64 }
+
+// votePlan is one hyperplane vote across validation's two batches. probes[0]
+// is the kink location the candidate network predicts; probes[1] is the
+// location under the flipped gating bit, planned only when the first batch
+// does not confirm the vote. alt is that bit's spec index, and rng, non-nil
+// only when such a bit exists, is the vote's own stream, left where the
+// first plan ended.
+type votePlan struct {
+	probes              [2]voteProbe
+	alt                 int
+	rng                 *rand.Rand
+	detected, abstained bool
 }
 
-func (a *Attack) hyperplaneVoteSpanned(vsp *obs.Span, net *nn.Network, reluSite, j int, rng *rand.Rand) (detected, ok bool, err error) {
-	candidates := []*nn.Network{net}
+// planVote does the white-box work of one hyperplane vote for ReLU input
+// (reluSite, j) and issues no oracle query. The vote asks whether the oracle
+// has a kink where the candidate network predicts one: kinkVotes measures
+// the second difference of the oracle output across a white-box critical
+// point x° along a direction that moves the input. A matching hyperplane
+// bends the oracle output exactly at x°; a wrong prefix key leaves the
+// oracle locally affine there. A control second difference away from x°
+// calibrates background curvature (attention blocks) and unrelated
+// hyperplanes.
+//
+// Under the bias-shift and weight-perturbation variants, the undecided key
+// bit of the flip gating this ReLU moves the kink, so the vote may later
+// try the other location; it then draws from a private stream seeded seed,
+// identical to rng's, that outlives the worker's reuse of rng.
+func (a *Attack) planVote(net *nn.Network, reluSite, j int, d float64, seed int64, rng *rand.Rand) votePlan {
+	var p votePlan
 	if a.ownHyperplaneMoves() {
 		if gate := a.directGatedFlip(reluSite); gate >= 0 {
 			if si, protected := a.specIndexOf(gate, j); protected && !a.decided[si] {
-				alt := a.applier.clone(net)
-				a.applier.apply(alt, a.spec.Neurons[si], si, true)
-				candidates = append(candidates, alt)
+				p.alt = si
+				p.rng = rand.New(rand.NewSource(seed))
+				rng = p.rng
 			}
 		}
 	}
-	participated := false
-	for _, cand := range candidates {
-		// A boundary may be unobservable in one region (covered by a
-		// max pool, dead downstream path); per Lemma 3, retry critical
-		// points in other regions until the white box confirms the kink is
-		// sensitized there.
-		for try := 0; try < a.cfg.MaxCriticalTries; try++ {
-			x0, found := searchCriticalPointReLU(cand, reluSite, j, a.cfg, rng)
-			if !found {
-				a.log.Debug("no critical point for vote", "relu", reluSite, "neuron", j)
-				break
-			}
-			v := a.voteDirection(cand, x0, reluSite, j, rng)
-			d := a.cfg.probeStep(a.cfg.ValidationDelta)
-			ctrl := tensor.VecClone(x0)
-			tensor.AXPY(3*d, v, ctrl)
+	p.probes[0] = a.planProbe(net, reluSite, j, d, rng)
+	return p
+}
 
-			// The white-box observability gate involves no oracle queries
-			// and keeps the clean threshold.
-			kinkW := secondDifferenceOf(cand.Forward, x0, v, d)
-			bgW := secondDifferenceOf(cand.Forward, ctrl, v, d)
-			if kinkW <= 10*bgW+a.cfg.AbsChange {
-				continue // unobservable here; try another region
-			}
-			participated = true
+// planProbe finds an observable critical point of ReLU input (reluSite, j)
+// on cand. A boundary may be unobservable in one region (covered by a max
+// pool, dead downstream path); per Lemma 3, it retries critical points in
+// other regions until the white box confirms the kink is sensitized there.
+func (a *Attack) planProbe(cand *nn.Network, reluSite, j int, d float64, rng *rand.Rand) voteProbe {
+	for try := 0; try < a.cfg.MaxCriticalTries; try++ {
+		x0, found := searchCriticalPointReLU(cand, reluSite, j, a.cfg, rng)
+		if !found {
+			a.log.Debug("no critical point for vote", "relu", reluSite, "neuron", j)
+			break
+		}
+		v := a.voteDirection(cand, x0, reluSite, j, rng)
+		ctrl := tensor.VecClone(x0)
+		tensor.AXPY(3*d, v, ctrl)
 
-			kink, background, err := a.oracleSecondDifferencePair(vsp, x0, ctrl, v, d)
-			if err != nil {
-				return false, false, err
-			}
-			if kink > 10*a.calibrated(background)+a.absChange() {
-				return true, true, nil
-			}
-			break // observable on the white box but absent in the oracle
+		// The white-box observability gate involves no oracle queries
+		// and keeps the clean threshold.
+		kinkW := secondDifferenceOf(cand.Forward, x0, v, d)
+		bgW := secondDifferenceOf(cand.Forward, ctrl, v, d)
+		if kinkW > 10*bgW+a.cfg.AbsChange {
+			return voteProbe{x0: x0, ctrl: ctrl, v: v}
 		}
 	}
-	return false, participated, nil
+	return voteProbe{}
 }
 
 // directGatedFlip returns the flip site whose output this ReLU rectifies
@@ -305,38 +357,48 @@ func (a *Attack) voteDirection(net *nn.Network, x0 []float64, reluSite, j int, r
 	return tensor.VecScale(1/tensor.Norm2(dir), dir)
 }
 
-// oracleSecondDifferencePair measures the kink and background second
-// differences of one hyperplane vote as a single six-point probe group
-// {x0, x0±δv, ctrl, ctrl±δv} — one oracle round through the planner where
-// the scalar path took six. Values and query counts are unchanged: each
-// second difference vanishes when the oracle is affine on its probed
-// segment. Under a declared-noisy oracle the group repeats cfg.ProbeVotes
-// times and the per-side median magnitudes are used — the median is robust
-// to a single outlier draw, and with ProbeVotes=1 this is exactly one
-// group, issuing the paper's queries in the scalar order.
-func (a *Attack) oracleSecondDifferencePair(sp *obs.Span, x0, ctrl, v []float64, d float64) (kink, background float64, err error) {
-	votes := a.cfg.ProbeVotes
-	if votes < 1 {
-		votes = 1
+// kinkVotes measures the kink and background second differences of the
+// given votes as one oracle batch: per vote, the six-point group
+// {x0, x0±δv, ctrl, ctrl±δv}, votes in order. Each second difference
+// vanishes when the oracle is affine on its probed segment. Under a
+// declared-noisy oracle each group repeats cfg.ProbeVotes times in a row and
+// the per-side median magnitudes are used — the median is robust to a
+// single outlier draw. With ProbeVotes=1 the batch issues the paper's
+// queries in the scalar order. It reports, per vote, whether the oracle
+// bends at x0.
+func (a *Attack) kinkVotes(sp *obs.Span, probes []voteProbe, d float64) ([]bool, error) {
+	reps := a.cfg.ProbeVotes
+	if reps < 1 {
+		reps = 1
 	}
-	kinks := make([]float64, 0, votes)
-	bgs := make([]float64, 0, votes)
-	for vi := 0; vi < votes; vi++ {
-		x := tensor.GetMatrix(6, len(x0))
-		fillTriple(x, 0, x0, v, d)
-		fillTriple(x, 3, ctrl, v, d)
-		y, err := a.multi(sp, x)
-		tensor.PutMatrix(x)
-		if err != nil {
-			return 0, 0, err
+	x := tensor.GetMatrix(6*reps*len(probes), len(probes[0].x0))
+	for k, p := range probes {
+		for r := 0; r < reps; r++ {
+			at := 6 * (k*reps + r)
+			fillTriple(x, at, p.x0, p.v, d)
+			fillTriple(x, at+3, p.ctrl, p.v, d)
 		}
-		kinks = append(kinks, maxAbsSecondDiff(y.Row(0), y.Row(1), y.Row(2)))
-		bgs = append(bgs, maxAbsSecondDiff(y.Row(3), y.Row(4), y.Row(5)))
-		tensor.PutMatrix(y)
 	}
-	sort.Float64s(kinks)
-	sort.Float64s(bgs)
-	return kinks[len(kinks)/2], bgs[len(bgs)/2], nil
+	y, err := a.multi(sp, x)
+	tensor.PutMatrix(x)
+	if err != nil {
+		return nil, err
+	}
+	defer tensor.PutMatrix(y)
+	hits := make([]bool, len(probes))
+	kinks := make([]float64, reps)
+	bgs := make([]float64, reps)
+	for k := range probes {
+		for r := 0; r < reps; r++ {
+			at := 6 * (k*reps + r)
+			kinks[r] = maxAbsSecondDiff(y.Row(at), y.Row(at+1), y.Row(at+2))
+			bgs[r] = maxAbsSecondDiff(y.Row(at+3), y.Row(at+4), y.Row(at+5))
+		}
+		sort.Float64s(kinks)
+		sort.Float64s(bgs)
+		hits[k] = kinks[reps/2] > 10*a.calibrated(bgs[reps/2])+a.absChange()
+	}
+	return hits, nil
 }
 
 // fillTriple writes the second-difference probe triple {x, x+δv, x−δv} into

@@ -430,11 +430,11 @@ func (a *Attack) kinkAt(sp *obs.Span, net *nn.Network, x0 []float64, reluSite, i
 	d := a.cfg.probeStep(a.cfg.ValidationDelta)
 	ctrl := tensor.VecClone(x0)
 	tensor.AXPY(3*d, v, ctrl)
-	kink, background, err := a.oracleSecondDifferencePair(sp, x0, ctrl, v, d)
+	hits, err := a.kinkVotes(sp, []voteProbe{{x0: x0, ctrl: ctrl, v: v}}, d)
 	if err != nil {
 		return false, err
 	}
-	return kink > 10*a.calibrated(background)+a.absChange(), nil
+	return hits[0], nil
 }
 
 // gatingReLU returns the ReLU site that directly rectifies the given flip

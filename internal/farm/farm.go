@@ -57,8 +57,8 @@ type Config struct {
 // Concurrency model: a round issued while earlier rounds are still in
 // flight overlaps them on the virtual clock (its issue time is the causal
 // frontier — the latest completion a caller could actually have observed
-// at entry), which is what lets the planner's coalesced batches and
-// parallel workers genuinely pipeline; a round issued after another
+// at entry), which is what lets the batches of parallel workers
+// genuinely pipeline; a round issued after another
 // completed is assumed dependent on it and serializes behind it. Safe for
 // concurrent use.
 type Transport struct {

@@ -7,8 +7,8 @@ import (
 
 // ErrFlow enforces the query-path error contract (DESIGN.md §15): every
 // error produced on the oracle seam — oracle.Interface's Query/QueryBatch,
-// the planner's probe and coalescer methods, and the core entry points that
-// wrap them — must be checked, propagated, or explicitly suppressed on
+// the planner's probe methods, validation's vote batches, and the core
+// entry points that wrap them — must be checked, propagated, or explicitly suppressed on
 // every path. A dropped oracle error silently converts a failed probe into
 // a wrong hyperplane sign, which Algorithm 2 then bakes into the recovered
 // key, so the analyzer treats three shapes as findings: the call used as a
@@ -37,9 +37,9 @@ var errSources = map[string]map[string]bool{
 	"dnnlock/internal/oracle": {"Query": true, "QueryBatch": true},
 	"dnnlock/internal/core": {
 		"query": true, "queryBatch": true,
-		"multi": true, "multiDirect": true, "multiScalar": true, "multiMemo": true,
+		"multi": true, "multiScalar": true, "multiMemo": true,
 		"queryRetry": true, "queryBatchRetry": true,
-		"submit": true, "single": true,
+		"kinkVotes": true, "sendVotes": true,
 		"parallelForErr": true,
 		"Run":            true, "Monolithic": true, "Resume": true, "runFrom": true,
 		"runSite": true, "relearnBySite": true,

@@ -11,9 +11,8 @@ import (
 // QueryBatch methods directly — every probe must route through the planner
 // seam in planner.go (a.query / a.multi / a.queryBatch, and the retry
 // helpers they wrap). A raw call would bypass multi-point batching, the
-// cross-goroutine coalescer, the probe memo, and retry accounting, silently
-// corrupting both the query and the round counts the paper's Table 1 and
-// the BENCH series report. Test files are exempt (they drive fakes and the
+// probe memo, and retry accounting, silently corrupting both the query and
+// the round counts the paper's Table 1 and the BENCH series report. Test files are exempt (they drive fakes and the
 // oracle directly), as is planner.go itself — the one sanctioned call site.
 var QuerySeam = &Analyzer{
 	Name: "queryseam",

@@ -97,8 +97,7 @@ var (
 // BatchError reports a QueryBatch failure with the index of the first row
 // that failed. Rows before Row were evaluated successfully (their results
 // are discarded along with the pooled output buffer); rows at and after Row
-// may not have been attempted. Coalesced batches use Row to attribute a
-// mid-batch fault to the request that hit it.
+// may not have been attempted.
 type BatchError struct {
 	Row int
 	Err error

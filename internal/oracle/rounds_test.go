@@ -96,7 +96,7 @@ func TestDeviceErrorCountsRound(t *testing.T) {
 // TestFlakyInputAddressed pins the determinism contract: the k-th attempt
 // of a given input draws the k-th decision for that input, regardless of
 // what else is interleaved — the property that keeps the drop schedule
-// stable under the planner's cross-goroutine coalescer.
+// stable however concurrent callers interleave their calls.
 func TestFlakyInputAddressed(t *testing.T) {
 	a := []float64{0.1, 0.2, 0.3, 0.4}
 	b := []float64{-0.5, 0.6, -0.7, 0.8}

@@ -549,6 +549,13 @@ func (s *Server) loadState() error {
 			s.log.Warn("skipping corrupt state file", "file", name, "err", err)
 			continue
 		}
+		// persist writes <id>.json, so any other name — an empty id
+		// included — is not this daemon's file, and two files can never
+		// claim one job.
+		if id := pj.View.ID; id == "" || id+".json" != name {
+			s.log.Warn("skipping state file not named after its job id", "file", name, "id", id)
+			continue
+		}
 		j := &Job{
 			id:        pj.View.ID,
 			spec:      pj.View.Spec,

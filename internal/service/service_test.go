@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -408,6 +410,35 @@ func TestDaemonStatePersistence(t *testing.T) {
 	}
 	if eq := final["result"].(map[string]any)["equivalent"]; eq != true {
 		t.Errorf("cross-process resumed job not equivalent: %v", eq)
+	}
+}
+
+// TestDaemonSkipsForeignStateFiles: a state file whose view.id is empty or
+// differs from its base name is skipped with a warning, as corrupt JSON is,
+// instead of crashing startup or letting two files claim one job.
+func TestDaemonSkipsForeignStateFiles(t *testing.T) {
+	dir := t.TempDir()
+	files := map[string]string{
+		"empty.json":   `{}`,
+		".json":        `{"view": {"id": ""}}`,
+		"j000009.json": `{"view": {"id": "j000003", "state": "suspended"}}`,
+		"j000007.json": `{"view": {"id": "j000007", "state": "suspended"}}`,
+	}
+	for name, body := range files {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := New(Config{Workers: 1, QueueDepth: 1, StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Drain(time.Second)
+	if len(s.order) != 1 || s.order[0] != "j000007" {
+		t.Fatalf("loaded jobs %v, want only j000007", s.order)
+	}
+	if s.nextID != 7 {
+		t.Fatalf("next id counter = %d, want 7", s.nextID)
 	}
 }
 

@@ -51,6 +51,18 @@ echo "==> perfbench: go vet ./... && go test ./..."
 echo "==> go test -race ./internal/..."
 go test -race ./internal/...
 
+# Core-count parity (DESIGN.md §14): the attack builds every oracle batch
+# explicitly, in index order, so keys, queries and rounds may not depend on
+# how many threads run it. The worker-parity, error-correction, checkpoint,
+# zero-channel farm and daemon parity tests run three times at each of
+# three GOMAXPROCS values.
+echo "==> core-count parity (GOMAXPROCS=1,2,4; -count=3)"
+for PROCS in 1 2 4; do
+	GOMAXPROCS=$PROCS go test -count=3 \
+		-run 'TestDecryptParallelWorkersMatchSerial|TestErrorCorrectionRepairs|TestCheckpoint|TestFarmZeroChannelIsPassThrough|TestDaemonEndToEndParity|TestDaemonSuspendResume' \
+		./internal/core ./internal/harness ./internal/service
+done
+
 # Robustness smoke (DESIGN.md §11): the oracle-boundary hardening must keep
 # the clean path bit-identical to Table 1 and must degrade — never panic —
 # under faults. These tests run inside the -race pass above too; re-running
