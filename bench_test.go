@@ -139,8 +139,8 @@ func benchDecrypt(b *testing.B, kind string, bits int, mutate func(*core.Config)
 	}
 	b.ReportMetric(float64(res.Queries), "queries")
 	b.ReportMetric(float64(res.Rounds), "oracle_rounds")
-	// The §3.5 search is white-box, so -multisect moves these two, not
-	// oracle_rounds: fewer narrowing rounds bought with more probes.
+	// The §3.5 search runs on the white box: one probe per bisection round,
+	// and neither reaches the oracle.
 	b.ReportMetric(float64(res.BisectRounds), "bisect_rounds")
 	b.ReportMetric(float64(res.BisectProbes), "bisect_probes")
 	for _, p := range metrics.AllProcedures {
@@ -180,32 +180,11 @@ func BenchmarkAblationJVPOnly(b *testing.B) {
 func BenchmarkAblationSerial(b *testing.B) {
 	benchDecrypt(b, "mlp", 8, func(c *core.Config) { c.Workers = 1 })
 }
-func BenchmarkAblationUnsliced(b *testing.B) {
-	// Re-runs the frozen prefix on every learning minibatch instead of
-	// training against the one-shot activation cache; the gap to
-	// BenchmarkAblationDefault is the cache's contribution.
-	benchDecrypt(b, "mlp", 8, func(c *core.Config) { c.DisableSlicing = true })
-}
 func BenchmarkAblationFloat64Training(b *testing.B) {
 	// The exact float64 learning fit on the learning-heavy LeNet cell
 	// (DESIGN.md §13); the name predates the removal of the float32 tier
 	// and keys the benchmark history.
 	benchDecrypt(b, "lenet", 6, nil)
-}
-
-// Query-planner trade-offs. BenchmarkAblationNoPlanner is the pre-planner
-// scalar probe path: identical queries, every probe its own round-trip —
-// the oracle_rounds gap to BenchmarkAblationDefault is what the planner
-// saves. The multisection and probe-cache variants are the opt-in points
-// on the rounds/queries trade-off curve (DESIGN.md §14).
-func BenchmarkAblationNoPlanner(b *testing.B) {
-	benchDecrypt(b, "mlp", 8, func(c *core.Config) { c.DisablePlanner = true })
-}
-func BenchmarkAblationMultisect4(b *testing.B) {
-	benchDecrypt(b, "mlp", 8, func(c *core.Config) { c.Multisect = 4 })
-}
-func BenchmarkAblationProbeCache(b *testing.B) {
-	benchDecrypt(b, "mlp", 8, func(c *core.Config) { c.ProbeCache = true })
 }
 
 // §3.9 variant attacks.

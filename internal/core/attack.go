@@ -39,11 +39,9 @@ type Attack struct {
 	// persistent transient failures or split majority votes.
 	degraded atomic.Int64
 
-	// Query-planner state (planner.go). memo is the opt-in probe cache (nil
-	// unless cfg.ProbeCache); crit accumulates bisection round/probe counts
-	// (cfg.critStats points at it so the search code in critical.go, which
-	// has no *Attack, can report).
-	memo *probeMemo
+	// crit accumulates bisection round/probe counts (cfg.critStats points
+	// at it so the search code in critical.go, which has no *Attack, can
+	// report).
 	crit critStats
 
 	// Observability. tracer and log are never nil (New substitutes the
@@ -75,9 +73,6 @@ func New(white *nn.Network, spec hpnn.LockSpec, orc oracle.Interface, cfg Config
 		tracer:     tracerFor(cfg),
 		log:        loggerFor(cfg),
 	}
-	if a.cfg.ProbeCache {
-		a.memo = newProbeMemo()
-	}
 	a.cfg.critStats = &a.crit
 	// Start from the identity hypothesis (all bits 0).
 	for i, pn := range spec.Neurons {
@@ -101,14 +96,11 @@ func tracerFor(cfg Config) *obs.Tracer {
 	return obs.New()
 }
 
-// loggerFor resolves the attack's logger: Logger, then the Debug writer at
-// debug level, then the DNNLOCK_LOG-controlled default.
+// loggerFor resolves the attack's logger: Logger, else the
+// DNNLOCK_LOG-controlled default.
 func loggerFor(cfg Config) *slog.Logger {
 	if cfg.Logger != nil {
 		return cfg.Logger
-	}
-	if cfg.Debug != nil {
-		return obs.NewLogger(cfg.Debug, slog.LevelDebug)
 	}
 	return obs.Default(os.Stderr)
 }

@@ -78,9 +78,7 @@ var ErrSuspended = errors.New("core: attack suspended at site boundary")
 // history: resuming against the same live oracle instance (how dnnlockd
 // suspends and resumes in-process) is exact, while resuming against a
 // freshly built faulty oracle replays the fault stream from zero.
-// Config.ProbeCache is incompatible with checkpointing — the memo spans
-// site boundaries but is not captured — and both Run and Resume reject the
-// combination. Budgeted budgets are client-side state and are not carried:
+// Budgeted budgets are client-side state and are not carried:
 // a resumed run re-arms the budget, which only ever errs permissive.
 type Checkpoint struct {
 	Version   int    `json:"version"`
@@ -187,10 +185,6 @@ func (ck *Checkpoint) validateFor(spec hpnn.LockSpec, cfg Config) error {
 	return nil
 }
 
-// errProbeCacheCheckpoint rejects the one planner feature whose state a
-// checkpoint cannot carry.
-var errProbeCacheCheckpoint = errors.New("core: ProbeCache is incompatible with checkpointing: the probe memo spans site boundaries and is not serialized")
-
 // Resume continues a suspended decryption attack from ck. The whiteBox,
 // spec, and cfg arguments must describe the same job as the original Run
 // call (the spec hash and seed are verified; the rest is the caller's
@@ -203,9 +197,6 @@ func Resume(whiteBox *nn.Network, spec hpnn.LockSpec, orc oracle.Interface, cfg 
 		return nil, fmt.Errorf("core: checkpointing covers the Negation decryption attack only (variant reductions run uninterrupted)")
 	}
 	a := New(whiteBox, spec, orc, cfg)
-	if a.cfg.ProbeCache {
-		return nil, errProbeCacheCheckpoint
-	}
 	if err := ck.validateFor(spec, a.cfg); err != nil {
 		return nil, err
 	}

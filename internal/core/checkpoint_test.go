@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -16,7 +17,7 @@ import (
 // freshWhite returns an independent white-box clone so resumed runs start
 // from the adversary's pristine download, exactly as dnnlockd would after a
 // restart.
-func checkpointFixture(t *testing.T, bits int) (fresh func() (*nn.Network, hpnn.LockSpec, *oracle.Oracle), key hpnn.Key) {
+func checkpointFixture(t testing.TB, bits int) (fresh func() (*nn.Network, hpnn.LockSpec, *oracle.Oracle), key hpnn.Key) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
 	net := models.TinyMLP(rng)
@@ -180,8 +181,8 @@ func assertSameRun(t *testing.T, label string, got, want *Result) {
 }
 
 // TestCheckpointValidation pins the guard rails: version drift, spec drift,
-// seed drift, and the ProbeCache incompatibility are all rejected before
-// any oracle traffic happens.
+// seed drift and out-of-range pending bits and sites are all rejected
+// before any oracle traffic happens.
 func TestCheckpointValidation(t *testing.T) {
 	fresh, _ := checkpointFixture(t, 8)
 	white, spec, orc := fresh()
@@ -258,17 +259,6 @@ func TestCheckpointValidation(t *testing.T) {
 			}
 		}
 	})
-	t.Run("probecache", func(t *testing.T) {
-		cfg := DefaultConfig()
-		cfg.ProbeCache = true
-		if _, err := Resume(white, spec, orc, cfg, ck); !errors.Is(err, errProbeCacheCheckpoint) {
-			t.Fatalf("ProbeCache resume: got %v", err)
-		}
-		cfg.OnCheckpoint = func(*Checkpoint) bool { return true }
-		if _, err := Run(white, spec, orc, cfg); !errors.Is(err, errProbeCacheCheckpoint) {
-			t.Fatalf("ProbeCache run: got %v", err)
-		}
-	})
 }
 
 // TestCountedSourceSkip pins the RNG fast-forward identity the checkpoint
@@ -296,4 +286,77 @@ func TestCountedSourceSkip(t *testing.T) {
 			t.Fatalf("draw %d after fast-forward: %d, want %d", i, got, w)
 		}
 	}
+}
+
+// FuzzUnmarshalCheckpoint hardens the checkpoint decoder, the daemon's
+// resume input: decoding plus validation against the lock spec must return
+// an error or accept, never panic, and an accepted checkpoint must
+// re-marshal to bytes that decode to the same checkpoint. The corpus is
+// every real checkpoint of a TinyMLP run plus hand mutations of the first.
+// Resume itself stays out: it replays rng_draws one draw at a time, so a
+// huge count would stall the fuzzer rather than fail.
+func FuzzUnmarshalCheckpoint(f *testing.F) {
+	fresh, _ := checkpointFixture(f, 10)
+	white, spec, orc := fresh()
+	cfg := DefaultConfig()
+	var real []*Checkpoint
+	cfg.OnCheckpoint = func(ck *Checkpoint) bool {
+		real = append(real, ck)
+		return true
+	}
+	if _, err := Run(white, spec, orc, cfg); err != nil {
+		f.Fatal(err)
+	}
+	add := func(ck *Checkpoint) {
+		raw, err := ck.Marshal()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	for _, ck := range real {
+		add(ck)
+	}
+	for _, mutate := range []func(*Checkpoint){
+		func(c *Checkpoint) { c.SitesDone = -1 },
+		func(c *Checkpoint) { c.SitesDone = 1 << 20 },
+		func(c *Checkpoint) { c.Decided = c.Decided[:1] },
+		func(c *Checkpoint) { c.Key = nil },
+		func(c *Checkpoint) { c.Confidence = c.Confidence[:len(c.Confidence)-1] },
+		func(c *Checkpoint) { c.Origins = c.Origins[1:] },
+		func(c *Checkpoint) { c.PendingBits = []int{-1} },
+		func(c *Checkpoint) { c.PendingBits = []int{spec.NumBits()} },
+		func(c *Checkpoint) { c.PendingSites = []int{-3} },
+		func(c *Checkpoint) { c.PendingSites = []int{99} },
+	} {
+		ck := *real[0]
+		mutate(&ck)
+		add(&ck)
+	}
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`null`))
+	f.Add([]byte(`{"version":1,"sites_done":-1,"decided":[true]}`))
+	f.Add([]byte(`not json at all`))
+
+	vcfg := DefaultConfig()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ck, err := UnmarshalCheckpoint(data)
+		if err != nil || ck.validateFor(spec, vcfg) != nil {
+			return
+		}
+		raw, err := ck.Marshal()
+		if err != nil {
+			t.Fatalf("accepted checkpoint does not re-marshal: %v", err)
+		}
+		again, err := UnmarshalCheckpoint(raw)
+		if err != nil {
+			t.Fatalf("re-marshalled checkpoint does not decode: %v", err)
+		}
+		if err := again.validateFor(spec, vcfg); err != nil {
+			t.Fatalf("re-marshalled checkpoint no longer validates: %v", err)
+		}
+		if raw2, err := again.Marshal(); err != nil || !bytes.Equal(raw, raw2) {
+			t.Fatalf("checkpoint round trip is not stable: %v\n%s\n%s", err, raw, raw2)
+		}
+	})
 }

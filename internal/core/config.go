@@ -8,11 +8,10 @@
 // Oracle traffic is shaped by the query planner (planner.go): every
 // oracle-facing procedure routes its probes through a batching seam, and
 // each procedure builds its batches explicitly, in index order — one per
-// inference probe, one for all the votes of a validation. Rounds — the
+// inference probe vote, one for all the votes of a validation. Rounds — the
 // quantity that pays network latency against a remote device — shrink
 // without changing query counts or recovered keys, and no count depends on
-// the core count. Config.Multisect and Config.ProbeCache trade probes for
-// rounds further.
+// the core count.
 //
 // Long runs are suspendable: Config.OnCheckpoint receives a versioned,
 // serializable Checkpoint at every site boundary, and Resume continues a
@@ -22,7 +21,6 @@
 package core
 
 import (
-	"io"
 	"log/slog"
 	"time"
 
@@ -118,31 +116,6 @@ type Config struct {
 	// oracle.ErrTransient before the attack degrades that decision to ⊥.
 	QueryRetries int
 
-	// Multisect selects k-way multisection for the critical-point zero
-	// search (searchZero / bisectSegment): each refinement round probes k−1
-	// interior points and narrows the bracket by a factor of k, cutting
-	// refinement rounds per critical point from ⌈log₂(1/tol)⌉ to
-	// ⌈log_k(1/tol)⌉ at the cost of more probes per round. Today the zero
-	// search runs on the white box, so "rounds" are measured as the
-	// round-trip template for an oracle-backed search under a remote-device
-	// latency model (ROADMAP item 2). 0 or 1 keeps the paper's bisection,
-	// bit-identical; values ≥ 2 change which witness the search converges
-	// to, so query counts may shift while fidelity is preserved.
-	Multisect int
-	// ProbeCache enables the content-addressed probe memo: oracle probes of
-	// a point already answered this run are served from the cache instead
-	// of re-queried, deduplicating repeat points across error-correction
-	// candidates and retries. Off by default because cache hits reduce the
-	// reported query counts below the paper's.
-	ProbeCache bool
-	// DisablePlanner restores the pre-planner scalar query path: every
-	// multi-point probe, a validation's vote batch included, issues its
-	// points as sequential Query calls. Results and query counts are
-	// bit-identical to the planner path on a clean oracle (pinned by
-	// TestPlannerEquivalence); only the round-trip count differs. Exists
-	// for that equivalence test and for A/B benchmarks.
-	DisablePlanner bool
-
 	// Workers is the parallelism degree across neurons / candidates (§4.1).
 	Workers int
 	// Seed drives all attack randomness.
@@ -152,15 +125,6 @@ type Config struct {
 	UseProductMatrix bool
 	// DisableAlgebraic turns key_bit_inference off entirely (ablation).
 	DisableAlgebraic bool
-	// DisableSlicing makes the learning attack re-run the frozen prefix on
-	// every minibatch instead of training the suffix against a one-shot
-	// activation cache (nn.Slice). Results are identical either way — this
-	// exists for the ablation benchmark and the equivalence property tests.
-	DisableSlicing bool
-	// Debug, when non-nil, receives debug-level progress lines from the
-	// attack. It is a convenience shorthand for Logger =
-	// obs.NewLogger(Debug, slog.LevelDebug); Logger wins when both are set.
-	Debug io.Writer
 
 	// Tracer records the attack as a tree of spans (see internal/obs). Nil
 	// selects the no-op default: phase spans are still timed — they are how
@@ -184,16 +148,15 @@ type Config struct {
 	// Resume continues from the delivered checkpoint bit-identically (same
 	// key, queries, rounds as an uninterrupted run). The hook runs on the
 	// attack goroutine between sites, so it may block (dnnlockd persists the
-	// checkpoint inside it) but blocks the attack while it does.
-	// Incompatible with ProbeCache (the probe memo is not serialized; Run
-	// rejects the combination) and ignored by the §3.9 variant reductions
-	// and the monolithic baseline, which run uninterrupted.
+	// checkpoint inside it) but blocks the attack while it does. Ignored
+	// by the §3.9 variant reductions and the monolithic baseline, which run
+	// uninterrupted.
 	OnCheckpoint func(*Checkpoint) bool
 
 	// critStats, when non-nil, accumulates the zero-search refinement
-	// accounting (rounds and probes) that the -multisect trade-off reports.
-	// New wires it to the attack's own counters; the free-standing search
-	// helpers run unaccounted when it is nil.
+	// accounting (Result.BisectRounds and BisectProbes). New wires it to the
+	// attack's own counters; the free-standing search helpers run
+	// unaccounted when it is nil.
 	critStats *critStats
 }
 
@@ -412,8 +375,8 @@ type Result struct {
 	// (empty for runs against a direct oracle).
 	SimByProc map[metrics.Procedure]time.Duration
 	// BisectRounds and BisectProbes account the critical-point zero search:
-	// refinement rounds (the quantity -multisect divides) and total probe
-	// evaluations inside them (the quantity it multiplies).
+	// refinement rounds and the probe evaluations inside them (one per
+	// round, so the two are equal).
 	BisectRounds int64
 	BisectProbes int64
 	Sites        []SiteReport

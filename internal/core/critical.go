@@ -69,17 +69,9 @@ func searchZero(u func([]float64) float64, p int, cfg Config, rng *rand.Rand) ([
 }
 
 // bisectSegment narrows the segment a→b, with u(a) > 0 > u(b), down to
-// |u| ≤ CriticalTol. The default is binary bisection — one probe per round,
-// halving the bracket; cfg.Multisect ≥ 2 switches to k-way multisection,
-// which evaluates k−1 interior points per round and shrinks the bracket by
-// a factor of k, cutting rounds from ⌈log₂(1/tol)⌉ to ⌈log_k(1/tol)⌉ at the
-// cost of more probes. Both paths report rounds and probes to cfg.critStats
-// — the white-box analog of the oracle round-trip trade-off, and the
-// template for an oracle-backed search (ROADMAP item 2).
+// |u| ≤ CriticalTol by binary bisection: one probe per round, halving the
+// bracket. Each round is reported to cfg.critStats.
 func bisectSegment(u func([]float64) float64, a, b []float64, cfg Config) ([]float64, bool) {
-	if cfg.Multisect >= 2 {
-		return multisectSegment(u, a, b, cfg)
-	}
 	dir := tensor.VecSub(b, a)
 	// One pooled midpoint buffer for the whole bisection; the witness is
 	// cloned out on success so the caller owns a plain heap slice.
@@ -95,7 +87,7 @@ func bisectSegment(u func([]float64) float64, a, b []float64, cfg Config) ([]flo
 		mid := (lo + hi) / 2
 		at(mid)
 		um := u(xm)
-		cfg.critStats.count(1)
+		cfg.critStats.count()
 		if math.Abs(um) <= cfg.CriticalTol {
 			return tensor.VecClone(xm), true
 		}
@@ -107,60 +99,6 @@ func bisectSegment(u func([]float64) float64, a, b []float64, cfg Config) ([]flo
 		if hi-lo < 1e-18 {
 			// Interval exhausted at float resolution; accept the midpoint
 			// if it is reasonably small.
-			if math.Abs(um) <= math.Sqrt(cfg.CriticalTol) {
-				return tensor.VecClone(xm), true
-			}
-			break
-		}
-	}
-	return nil, false
-}
-
-// multisectSegment is bisectSegment's k-way variant: each round probes the
-// k−1 interior points that split the bracket into k equal parts, then
-// narrows to the first subinterval whose endpoints change sign. Every
-// interior probe gets the same tolerance checks the bisection midpoint
-// gets, so a witness is accepted at the same |u| threshold.
-func multisectSegment(u func([]float64) float64, a, b []float64, cfg Config) ([]float64, bool) {
-	k := cfg.Multisect
-	dir := tensor.VecSub(b, a)
-	xm := tensor.GetVec(len(a))
-	defer tensor.PutVec(xm)
-	at := func(t float64) {
-		copy(xm, a)
-		tensor.AXPY(t, dir, xm)
-	}
-	lo, hi := 0.0, 1.0
-	ulo := u(a)
-	for iter := 0; iter < 200; iter++ {
-		step := (hi - lo) / float64(k)
-		cfg.critStats.count(int64(k - 1))
-		// Walk the interior points left to right; uprev tracks the value at
-		// the current subinterval's left endpoint.
-		uprev, tprev := ulo, lo
-		bracketed := false
-		for i := 1; i < k; i++ {
-			t := lo + float64(i)*step
-			at(t)
-			um := u(xm)
-			if math.Abs(um) <= cfg.CriticalTol {
-				return tensor.VecClone(xm), true
-			}
-			if signChange(uprev, um) {
-				lo, ulo, hi = tprev, uprev, t
-				bracketed = true
-				break
-			}
-			uprev, tprev = um, t
-		}
-		if !bracketed {
-			// The change hides in the last subinterval [tprev, hi].
-			lo, ulo = tprev, uprev
-		}
-		if hi-lo < 1e-18 {
-			at((lo + hi) / 2)
-			um := u(xm)
-			cfg.critStats.count(1)
 			if math.Abs(um) <= math.Sqrt(cfg.CriticalTol) {
 				return tensor.VecClone(xm), true
 			}

@@ -41,11 +41,7 @@ func Run(whiteBox *nn.Network, spec hpnn.LockSpec, orc oracle.Interface, cfg Con
 	if spec.Scheme != hpnn.Negation {
 		return RunVariant(whiteBox, spec, orc, cfg)
 	}
-	a := New(whiteBox, spec, orc, cfg)
-	if a.cfg.OnCheckpoint != nil && a.cfg.ProbeCache {
-		return nil, errProbeCacheCheckpoint
-	}
-	return a.runFrom(resumeBase{})
+	return New(whiteBox, spec, orc, cfg).runFrom(resumeBase{})
 }
 
 // sitePending carries the not-yet-validated bits across deferred sites

@@ -80,8 +80,8 @@ func gatedFlipSites(net *nn.Network) map[int]bool {
 // shuffles and gathers rows of that activation cache instead of re-running
 // the prefix forward and backward. Backpropagation stops at the slice
 // boundary. The sliced fit is numerically identical to the unsliced one
-// (cfg.DisableSlicing, kept for the ablation and the equivalence property
-// tests): prefix activations are batch-independent per row, and no
+// (fitSlice on net.FullSlice(), the reference TestFitSoftSliceEquivalence
+// runs): prefix activations are batch-independent per row, and no
 // trainable parameter lives in the prefix.
 //
 // softmax mirrors an oracle that exposes softmax probabilities: the white
@@ -99,10 +99,14 @@ func fitSoft(net *nn.Network, sites []softSite, x, y *tensor.Matrix, cfg Config,
 			firstSite = s.flip.SiteID
 		}
 	}
-	sl := net.FullSlice()
-	if !cfg.DisableSlicing {
-		sl = net.Split(firstSite)
-	}
+	fitSlice(net.Split(firstSite), sites, x, y, cfg, rng, softmax, epochCb)
+}
+
+// fitSlice is fitSoft on a given split of the network: no softened site
+// may lie in sl's prefix.
+func fitSlice(sl *nn.Slice, sites []softSite, x, y *tensor.Matrix, cfg Config,
+	rng *rand.Rand, softmax bool, epochCb func(epoch int, loss float64) bool) {
+
 	n := x.Rows
 	perm := rng.Perm(n)
 	// Frozen-prefix activation cache, evaluated once per query set.
@@ -250,7 +254,7 @@ func (a *Attack) learningAttack(site int, unresolved []int, rng *rand.Rand) (map
 	sites := soften(trainNet, &a.spec, bySite)
 
 	x := dataset.UniformInputs(a.cfg.LearnQueries, trainNet.InSize(), a.cfg.InputLim, rng)
-	y, err := a.queryBatch(lsp, x)
+	y, err := a.multi(lsp, x)
 	if err != nil {
 		tensor.PutMatrix(x)
 		lsp.End(obs.String("outcome", "labelling_failed"))

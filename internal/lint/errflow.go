@@ -36,8 +36,7 @@ var ErrFlow = &Analyzer{
 var errSources = map[string]map[string]bool{
 	"dnnlock/internal/oracle": {"Query": true, "QueryBatch": true},
 	"dnnlock/internal/core": {
-		"query": true, "queryBatch": true,
-		"multi": true, "multiScalar": true, "multiMemo": true,
+		"query": true, "multi": true,
 		"queryRetry": true, "queryBatchRetry": true,
 		"kinkVotes": true, "sendVotes": true,
 		"parallelForErr": true,

@@ -9,11 +9,12 @@ import (
 // QuerySeam enforces the oracle query-planner boundary (DESIGN.md §14):
 // inside dnnlock/internal/core, nothing may call the oracle's Query or
 // QueryBatch methods directly — every probe must route through the planner
-// seam in planner.go (a.query / a.multi / a.queryBatch, and the retry
-// helpers they wrap). A raw call would bypass multi-point batching, the
-// probe memo, and retry accounting, silently corrupting both the query and
-// the round counts the paper's Table 1 and the BENCH series report. Test files are exempt (they drive fakes and the
-// oracle directly), as is planner.go itself — the one sanctioned call site.
+// seam in planner.go (a.query / a.multi, and the retry helpers they
+// wrap). A raw call would bypass multi-point batching and
+// retry accounting, silently corrupting both the query and the round
+// counts the paper's Table 1 and the BENCH series report. Test files are
+// exempt (they drive fakes and the oracle directly), as is planner.go
+// itself — the one sanctioned call site.
 var QuerySeam = &Analyzer{
 	Name: "queryseam",
 	Doc:  "internal/core must reach the oracle through the query planner (planner.go), never via raw Query/QueryBatch calls",

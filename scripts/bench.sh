@@ -13,12 +13,12 @@ cd "$(dirname "$0")/.."
 
 # BenchmarkDecryptTracer{Off,On} ride along so the BENCH json always
 # records the observability layer's overhead next to the numbers it could
-# perturb (DESIGN.md §12), the planner ablations so the oracle_rounds
-# trade-offs (DESIGN.md §14) stay tracked next to the default path, the
-# learning-heavy LeNet fit (BenchmarkAblationFloat64Training, DESIGN.md §13),
-# and BenchmarkFarm* so the predicted attack wall-clock on the simulated
-# device farm (farm_wallclock_s, DESIGN.md §16) is gated like oracle_rounds.
-PATTERN="${BENCH_PATTERN:-BenchmarkTable1|BenchmarkFigure3|BenchmarkDecryptTracer|BenchmarkFarm|BenchmarkAblation(Default|NoPlanner|Multisect4|ProbeCache|Float64Training)\$}"
+# perturb (DESIGN.md §12), the default-path ablation so its oracle_rounds
+# (DESIGN.md §14) stay tracked, the learning-heavy LeNet fit
+# (BenchmarkAblationFloat64Training, DESIGN.md §13), and BenchmarkFarm* so
+# the predicted attack wall-clock on the simulated device farm
+# (farm_wallclock_s, DESIGN.md §16) is gated like oracle_rounds.
+PATTERN="${BENCH_PATTERN:-BenchmarkTable1|BenchmarkFigure3|BenchmarkDecryptTracer|BenchmarkFarm|BenchmarkAblation(Default|Float64Training)\$}"
 BTIME="${BENCH_TIME:-1x}"
 DATE="$(date +%Y-%m-%d)"
 OUT="BENCH_${DATE}.json"

@@ -54,12 +54,13 @@ go test -race ./internal/...
 # Core-count parity (DESIGN.md §14): the attack builds every oracle batch
 # explicitly, in index order, so keys, queries and rounds may not depend on
 # how many threads run it. The worker-parity, error-correction, checkpoint,
-# zero-channel farm and daemon parity tests run three times at each of
-# three GOMAXPROCS values.
+# zero-channel farm and daemon parity tests, and the fixture that pins every
+# outcome (rounds included) of the Table 1, variant, robustness and farm
+# cells, run three times at each of three GOMAXPROCS values.
 echo "==> core-count parity (GOMAXPROCS=1,2,4; -count=3)"
 for PROCS in 1 2 4; do
 	GOMAXPROCS=$PROCS go test -count=3 \
-		-run 'TestDecryptParallelWorkersMatchSerial|TestErrorCorrectionRepairs|TestCheckpoint|TestFarmZeroChannelIsPassThrough|TestDaemonEndToEndParity|TestDaemonSuspendResume' \
+		-run 'TestDecryptParallelWorkersMatchSerial|TestErrorCorrectionRepairs|TestCheckpoint|TestFarmZeroChannelIsPassThrough|TestFitTrajectoryFixture|TestDaemonEndToEndParity|TestDaemonSuspendResume' \
 		./internal/core ./internal/harness ./internal/service
 done
 
@@ -83,12 +84,6 @@ go build -o "$TRACE_TMP/dnnlock" ./cmd/dnnlock
 "$TRACE_TMP/dnnlock" table1 -model mlp -keysizes 6 -scale tiny \
 	-trace "$TRACE_TMP/trace.jsonl" > /dev/null
 "$TRACE_TMP/dnnlock" trace -in "$TRACE_TMP/trace.jsonl" -check > /dev/null
-
-# Planner smoke (DESIGN.md §14): the opt-in query-planner knobs must keep a
-# Table-1 cell at 100% fidelity — k-way multisection changes which critical
-# points the white-box search lands on, never the recovered key.
-echo "==> planner smoke (table1 -multisect 4)"
-"$TRACE_TMP/dnnlock" table1 -model mlp -keysizes 6 -scale tiny -multisect 4 > /dev/null
 
 # Farm smoke (DESIGN.md §16): one sweep point over a small heterogeneous
 # fleet behind a lossy channel must finish at full fidelity and emit its
