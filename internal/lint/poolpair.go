@@ -9,9 +9,9 @@ import (
 // PoolPair enforces the workspace-pool ownership contract (DESIGN.md §8):
 // every matrix or vector obtained from the pool — tensor.GetMatrix /
 // GetMatrixZero / GetVec, the pool-recycled results of
-// oracle.QueryBatch, dataset.UniformInputs, and nn.Slice.PrefixForward,
-// and the Jacobians of nn.Network.PreActJacobian / ReluInJacobian /
-// OutputJacobian — must be handed back with tensor.PutMatrix / PutVec on
+// oracle.QueryBatch, dataset.UniformInputs, nn.Slice.PrefixForward and
+// nn's single-example walker (forwardChain), and the Jacobians of
+// nn.Network.PreActJacobian / ReluInJacobian / OutputJacobian — must be handed back with tensor.PutMatrix / PutVec on
 // every path through the acquiring function, or explicitly leave the
 // function: returned to the caller, or stored into a longer-lived
 // structure on a line annotated //lint:transfer.
@@ -43,7 +43,7 @@ var getFuncs = map[string]map[string]int{
 	"dnnlock/internal/tensor":  {"GetMatrix": 0, "GetMatrixZero": 0, "GetVec": 0},
 	"dnnlock/internal/oracle":  {"QueryBatch": 0},
 	"dnnlock/internal/dataset": {"UniformInputs": 0},
-	"dnnlock/internal/nn": {"PrefixForward": 0,
+	"dnnlock/internal/nn": {"PrefixForward": 0, "forwardChain": 0,
 		"PreActJacobian": 1, "ReluInJacobian": 1, "OutputJacobian": 1, "JVP": 1},
 }
 

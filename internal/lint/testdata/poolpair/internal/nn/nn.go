@@ -1,6 +1,7 @@
-// Package nn stubs the Jacobian surface of the real dnnlock/internal/nn for
-// the poolpair golden tests, and doubles as the fixture for the JVP tangent
-// handoff: every JVP method here must release or return its tangent.
+// Package nn stubs the Jacobian and walker surface of the real
+// dnnlock/internal/nn for the poolpair golden tests, and doubles as the
+// fixture for the JVP tangent handoff: every JVP method here must release
+// or return its tangent.
 package nn
 
 import "dnnlock/internal/tensor"
@@ -114,4 +115,29 @@ func chainDropsTangent(ls []Layer, v []float64, j *tensor.Matrix) []float64 {
 		v, j = l.JVP(v, j, nil)
 	}
 	return v // want "nn.JVP acquired at line .* may leak on this return path"
+}
+
+// --- single-example walk: the result is pooled -----------------------------
+
+// forwardChain mirrors the real walker's ownership contract: the last
+// layer's output comes back in a pooled vector the caller releases.
+func forwardChain(layers []Layer, x []float64) []float64 {
+	y := tensor.GetVec(len(x))
+	copy(y, x)
+	return y
+}
+
+// walkReleased copies the logits out and releases the walk's vector, as
+// Network.Forward does.
+func walkReleased(n *Network, x []float64) []float64 {
+	y := forwardChain(n.Layers, x)
+	out := append([]float64(nil), y...)
+	tensor.PutVec(y)
+	return out
+}
+
+// walkLeaked reads one element and forgets the vector.
+func walkLeaked(n *Network, x []float64) float64 {
+	y := forwardChain(n.Layers, x) // want "result of nn.forwardChain is never released"
+	return y[0]
 }

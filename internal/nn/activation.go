@@ -29,34 +29,26 @@ func (r *ReLU) InSize() int { return r.N }
 // OutSize returns the width.
 func (r *ReLU) OutSize() int { return r.N }
 
-func (r *ReLU) registerSites(nextFlip, nextReLU *int) {
-	r.SiteID = *nextReLU
-	*nextReLU++
-}
-
-// Forward rectifies x, recording the activation pattern into tr if non-nil.
-// The boundary z == 0 is treated as inactive, matching the paper's
-// definition (a neuron is active iff z > 0).
-func (r *ReLU) Forward(x []float64, tr *Trace) []float64 {
+// Forward rectifies x into y, recording the input and activation pattern
+// into tr if non-nil. The boundary z == 0 is treated as inactive, matching
+// the paper's definition (a neuron is active iff z > 0).
+func (r *ReLU) Forward(y, x []float64, tr *Trace) {
 	checkSize("relu", r.N, len(x))
-	y := make([]float64, r.N)
-	var pat []bool
-	if tr != nil {
-		pat = make([]bool, r.N)
-	}
 	for i, v := range x {
 		if v > 0 {
 			y[i] = v
-			if pat != nil {
-				pat[i] = true
-			}
+		} else {
+			y[i] = 0
 		}
 	}
 	if tr != nil {
+		pat := make([]bool, r.N)
+		for i, v := range x {
+			pat[i] = v > 0
+		}
 		tr.Patterns[r.SiteID] = pat
 		tr.ReluIn[r.SiteID] = append([]float64(nil), x...)
 	}
-	return y
 }
 
 // ForwardBatch rectifies a batch. Every element of the pooled output is
@@ -153,10 +145,10 @@ func (f *Flatten) InSize() int { return f.N }
 // OutSize returns the width.
 func (f *Flatten) OutSize() int { return f.N }
 
-// Forward returns x unchanged.
-func (f *Flatten) Forward(x []float64, _ *Trace) []float64 {
+// Forward copies x into y.
+func (f *Flatten) Forward(y, x []float64, _ *Trace) {
 	checkSize("flatten", f.N, len(x))
-	return x
+	copy(y, x)
 }
 
 // ForwardBatch returns x unchanged.

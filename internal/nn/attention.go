@@ -67,12 +67,10 @@ func (a *AttentionReLU) OutSize() int { return a.T * a.D }
 func (a *AttentionReLU) scaleA() float64 { return 1 / math.Sqrt(float64(a.Dh)) }
 func (a *AttentionReLU) scaleB() float64 { return 1 / float64(a.T) }
 
-// forwardOne computes the block for one example (xm is the T×D token view
-// of the input) and returns all intermediates for reuse by JVP. The
-// returned matrices come from the workspace pool — the caller releases
-// them with tensor.PutMatrix; y is freshly allocated and owned by the
-// caller.
-func (a *AttentionReLU) forwardOne(xm *tensor.Matrix) (q, k, v, s, o *tensor.Matrix, mask []bool, y []float64) {
+// forwardOne computes the block for one flat example x into y and returns
+// the intermediates for reuse by JVP. The returned matrices come from the
+// workspace pool — the caller releases them with tensor.PutMatrix.
+func (a *AttentionReLU) forwardOne(y, x []float64) (q, k, v, s, o *tensor.Matrix, mask []bool) {
 	q = tensor.GetMatrix(a.T, a.Dh)
 	k = tensor.GetMatrix(a.T, a.Dh)
 	v = tensor.GetMatrix(a.T, a.Dh)
@@ -80,10 +78,9 @@ func (a *AttentionReLU) forwardOne(xm *tensor.Matrix) (q, k, v, s, o *tensor.Mat
 	s = tensor.GetMatrix(a.T, a.T)
 	o = tensor.GetMatrix(a.T, a.Dh)
 	mask = make([]bool, a.T*a.T)
-	ym := tensor.New(a.T, a.D)
-	a.forwardInto(xm, q, k, v, u, s, o, ym, mask)
+	a.forwardInto(tensor.FromSlice(a.T, a.D, x), q, k, v, u, s, o, tensor.FromSlice(a.T, a.D, y), mask)
 	tensor.PutMatrix(u)
-	return q, k, v, s, o, mask, ym.Data
+	return q, k, v, s, o, mask
 }
 
 // forwardInto computes the block for one example into caller buffers: the
@@ -110,11 +107,10 @@ func (a *AttentionReLU) forwardInto(xm, q, k, v, u, s, o, ym *tensor.Matrix, mas
 }
 
 // Forward computes attention for one flat example.
-func (a *AttentionReLU) Forward(x []float64, _ *Trace) []float64 {
+func (a *AttentionReLU) Forward(y, x []float64, _ *Trace) {
 	checkSize("attention_relu", a.InSize(), len(x))
-	q, k, v, s, o, _, y := a.forwardOne(tensor.FromSlice(a.T, a.D, x))
+	q, k, v, s, o, _ := a.forwardOne(y, x)
 	tensor.PutMatrix(q, k, v, s, o)
-	return y
 }
 
 // ForwardBatch maps each row.
@@ -235,7 +231,8 @@ func (a *AttentionReLU) Backward(dy *tensor.Matrix) *tensor.Matrix {
 // dO = dS·V + S·dV, dY = dO·Wo. Tangents are staged through a pooled
 // transpose so every inner product streams contiguous rows.
 func (a *AttentionReLU) JVP(x []float64, j *tensor.Matrix, _ *JVPTrace) ([]float64, *tensor.Matrix) {
-	q, k, v, s, o, mask, y := a.forwardOne(tensor.FromSlice(a.T, a.D, x))
+	y := make([]float64, a.OutSize())
+	q, k, v, s, o, mask := a.forwardOne(y, x)
 	sa, sb := a.scaleA(), a.scaleB()
 	p := j.Cols
 	jT := tensor.GetMatrix(p, a.InSize())

@@ -31,15 +31,8 @@ func (a *AvgPool2D) InSize() int { return a.C * a.InH * a.InW }
 func (a *AvgPool2D) OutSize() int { return a.C * a.OutH * a.OutW }
 
 // Forward pools one example.
-func (a *AvgPool2D) Forward(x []float64, _ *Trace) []float64 {
+func (a *AvgPool2D) Forward(y, x []float64, _ *Trace) {
 	checkSize("avgpool2d", a.InSize(), len(x))
-	y := make([]float64, a.OutSize())
-	a.forwardInto(x, y)
-	return y
-}
-
-// forwardInto pools one example into y (length OutSize).
-func (a *AvgPool2D) forwardInto(x, y []float64) {
 	inv := 1 / float64(a.K*a.K)
 	for c := 0; c < a.C; c++ {
 		inBase := c * a.InH * a.InW
@@ -66,10 +59,9 @@ func (a *AvgPool2D) ForwardBatch(x *tensor.Matrix) *tensor.Matrix {
 
 // TrainForward is ForwardBatch (linear map; no cache needed).
 func (a *AvgPool2D) TrainForward(x *tensor.Matrix) *tensor.Matrix {
-	checkSize("avgpool2d", a.InSize(), x.Cols)
 	y := ensure(&a.y, x.Rows, a.OutSize())
 	for r := 0; r < x.Rows; r++ {
-		a.forwardInto(x.Row(r), y.Row(r))
+		a.Forward(y.Row(r), x.Row(r), nil)
 	}
 	return y
 }
@@ -105,7 +97,8 @@ func (a *AvgPool2D) Backward(dy *tensor.Matrix) *tensor.Matrix {
 
 // JVP averages tangent rows window-wise (the map is linear).
 func (a *AvgPool2D) JVP(x []float64, j *tensor.Matrix, _ *JVPTrace) ([]float64, *tensor.Matrix) {
-	y := a.Forward(x, nil)
+	y := make([]float64, a.OutSize())
+	a.Forward(y, x, nil)
 	jy := tensor.GetMatrixZero(a.OutSize(), j.Cols)
 	inv := 1 / float64(a.K*a.K)
 	for c := 0; c < a.C; c++ {

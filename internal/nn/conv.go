@@ -477,27 +477,15 @@ func (c *Conv2D) forwardIntoNoPad(x, out []float64, withBias bool) {
 	}
 }
 
-func (c *Conv2D) forwardOne(x []float64, withBias bool) []float64 {
-	out := make([]float64, c.OutSize())
-	c.forwardInto(x, out, withBias)
-	return out
-}
-
 // Forward convolves one example.
-func (c *Conv2D) Forward(x []float64, _ *Trace) []float64 {
+func (c *Conv2D) Forward(y, x []float64, _ *Trace) {
 	checkSize("conv2d", c.InSize(), len(x))
-	return c.forwardOne(x, true)
+	c.forwardInto(x, y, true)
 }
 
-// ForwardBatch convolves each row of x, writing straight into the output
-// rows (no per-example staging vector, unlike forwardBatchViaSingle).
+// ForwardBatch convolves each row of x.
 func (c *Conv2D) ForwardBatch(x *tensor.Matrix) *tensor.Matrix {
-	// forwardInto assigns every output element, so a pooled buffer is safe.
-	out := tensor.GetMatrix(x.Rows, c.OutSize())
-	for i := 0; i < x.Rows; i++ {
-		c.forwardInto(x.Row(i), out.Row(i), true)
-	}
-	return out
+	return forwardBatchViaSingle(c, x)
 }
 
 // TrainForward is ForwardBatch with input caching.
@@ -732,7 +720,8 @@ func (c *Conv2D) backwardDX(dx, dy *tensor.Matrix) {
 // (the convolution is linear, so tangents transform exactly). Tangents are
 // staged through pooled transposes so each column convolves contiguously.
 func (c *Conv2D) JVP(x []float64, j *tensor.Matrix, _ *JVPTrace) ([]float64, *tensor.Matrix) {
-	y := c.forwardOne(x, true)
+	y := make([]float64, c.OutSize())
+	c.forwardInto(x, y, true)
 	p := j.Cols
 	jT := tensor.GetMatrix(p, c.InSize())
 	j.TransposeInto(jT)

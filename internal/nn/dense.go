@@ -54,14 +54,13 @@ func (d *Dense) InSize() int { return d.In }
 func (d *Dense) OutSize() int { return d.Out }
 
 // Forward computes W·x + b for one example.
-func (d *Dense) Forward(x []float64, _ *Trace) []float64 {
+func (d *Dense) Forward(y, x []float64, _ *Trace) {
 	checkSize("dense", d.In, len(x))
-	y := tensor.MatVec(d.W.W, x)
+	tensor.MatVecInto(y, d.W.W, x)
 	brow := d.B.W.Row(0)
 	for i := range y {
 		y[i] += brow[i]
 	}
-	return y
 }
 
 // ForwardBatch computes X·Wᵀ + b for a batch via the transpose-free
@@ -131,7 +130,9 @@ func (d *Dense) JVP(x []float64, j *tensor.Matrix, _ *JVPTrace) ([]float64, *ten
 	jy := tensor.GetMatrix(d.Out, j.Cols)
 	tensor.MatMulInto(jy, d.W.W, j)
 	tensor.PutMatrix(j)
-	return d.Forward(x, nil), jy
+	y := make([]float64, d.Out)
+	d.Forward(y, x, nil)
+	return y, jy
 }
 
 // Params returns the weight and bias parameters.
@@ -176,14 +177,12 @@ func (td *TokenDense) InSize() int { return td.T * td.D.In }
 func (td *TokenDense) OutSize() int { return td.T * td.D.Out }
 
 // Forward maps each token through the shared dense transform.
-func (td *TokenDense) Forward(x []float64, _ *Trace) []float64 {
+func (td *TokenDense) Forward(y, x []float64, _ *Trace) {
 	checkSize("token_dense", td.InSize(), len(x))
-	out := make([]float64, td.OutSize())
+	in, out := td.D.In, td.D.Out
 	for t := 0; t < td.T; t++ {
-		y := td.D.Forward(x[t*td.D.In:(t+1)*td.D.In], nil)
-		copy(out[t*td.D.Out:], y)
+		td.D.Forward(y[t*out:(t+1)*out], x[t*in:(t+1)*in], nil)
 	}
-	return out
 }
 
 // ForwardBatch maps a batch row-wise.
@@ -240,7 +239,8 @@ func (td *TokenDense) dropTrainState() {
 
 // JVP applies the shared linear map token-wise to value and tangents.
 func (td *TokenDense) JVP(x []float64, j *tensor.Matrix, _ *JVPTrace) ([]float64, *tensor.Matrix) {
-	y := td.Forward(x, nil)
+	y := make([]float64, td.OutSize())
+	td.Forward(y, x, nil)
 	p := j.Cols
 	jy := tensor.GetMatrixZero(td.OutSize(), p)
 	// Each tangent column transforms exactly like a value (the map is linear).

@@ -63,11 +63,6 @@ func (f *Flip) InSize() int { return f.N }
 // OutSize returns the width.
 func (f *Flip) OutSize() int { return f.N }
 
-func (f *Flip) registerSites(nextFlip, nextReLU *int) {
-	f.SiteID = *nextFlip
-	*nextFlip++
-}
-
 // SetBit sets the hard key bit of neuron j: bit=true flips the sign.
 func (f *Flip) SetBit(j int, bit bool) {
 	if bit {
@@ -154,10 +149,10 @@ func (f *Flip) SetOffset(j int, v float64) {
 	f.Offsets[j] = v
 }
 
-// forwardRowInto applies the flip to one example, writing into y (same
-// length as x; must not alias x when soft indices are active, since those
-// re-read the pre-flip value).
-func (f *Flip) forwardRowInto(y, x []float64) {
+// Forward applies the effective flip (hard signs and offsets, then any
+// soft relaxation) to x, recording pre/post values into tr when non-nil.
+func (f *Flip) Forward(y, x []float64, tr *Trace) {
+	checkSize("flip", f.N, len(x))
 	for i, v := range x {
 		y[i] = f.Signs[i] * v
 	}
@@ -169,44 +164,24 @@ func (f *Flip) forwardRowInto(y, x []float64) {
 	for i, j := range f.softIdx {
 		y[j] = f.softForwardValue(i, x[j])
 	}
-}
-
-// forwardRow applies the flip to one example in place-free fashion.
-func (f *Flip) forwardRow(x []float64) []float64 {
-	y := make([]float64, f.N)
-	f.forwardRowInto(y, x)
-	return y
-}
-
-// Forward applies the effective flip (hard signs/offsets plus any soft
-// relaxation), recording pre/post values into tr when non-nil.
-func (f *Flip) Forward(x []float64, tr *Trace) []float64 {
-	checkSize("flip", f.N, len(x))
-	y := f.forwardRow(x)
 	if tr != nil {
 		tr.Pre[f.SiteID] = tensor.VecClone(x)
 		tr.Post[f.SiteID] = tensor.VecClone(y)
 	}
-	return y
 }
 
 // ForwardBatch applies the flip to each row.
 func (f *Flip) ForwardBatch(x *tensor.Matrix) *tensor.Matrix {
-	// forwardRowInto assigns every output element, so a pooled buffer is safe.
-	out := tensor.GetMatrix(x.Rows, f.N)
-	for i := 0; i < x.Rows; i++ {
-		f.forwardRowInto(out.Row(i), x.Row(i))
-	}
-	return out
+	return forwardBatchViaSingle(f, x)
 }
 
 // TrainForward is ForwardBatch with input caching.
 func (f *Flip) TrainForward(x *tensor.Matrix) *tensor.Matrix {
 	f.lastX = x
-	// forwardRowInto assigns every output element, so the reused buffer is safe.
+	// Forward assigns every output element, so the reused buffer is safe.
 	y := ensure(&f.y, x.Rows, f.N)
 	for i := 0; i < x.Rows; i++ {
-		f.forwardRowInto(y.Row(i), x.Row(i))
+		f.Forward(y.Row(i), x.Row(i), nil)
 	}
 	return y
 }
@@ -265,7 +240,8 @@ func (f *Flip) JVP(x []float64, j *tensor.Matrix, jtr *JVPTrace) ([]float64, *te
 	if jtr.stopAtFlip(f.SiteID) {
 		return x, j
 	}
-	y := f.forwardRow(x)
+	y := make([]float64, f.N)
+	f.Forward(y, x, nil)
 	deriv := func(i int) float64 { return f.Signs[i] }
 	soft := make(map[int]int, len(f.softIdx))
 	for si, idx := range f.softIdx {

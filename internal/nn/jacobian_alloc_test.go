@@ -70,3 +70,68 @@ func TestJacobianPairAllocBound(t *testing.T) {
 		}
 	}
 }
+
+// TestForwardAllocBound pins the pooled single-example walk: with the
+// kernels serial, a steady-state PostAt or ReluInAt probe at any site
+// allocates nothing, and ForwardBatch and PrefixForward allocate as often
+// for 4 rows as for 16, because every per-row intermediate comes from and
+// returns to the workspace pool.
+func TestForwardAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop a share of released workspaces")
+	}
+	defer tensor.SetParallelism(tensor.Parallelism())
+	tensor.SetParallelism(1)
+	builds := []struct {
+		name  string
+		build func(*rand.Rand) *nn.Network
+	}{
+		{"mlp", models.TinyMLP},
+		{"lenet", models.TinyLeNet},
+		{"resnet", models.TinyResNet},
+	}
+	const runs = 100
+	for _, b := range builds {
+		rng := rand.New(rand.NewSource(1))
+		net := b.build(rng)
+		batch := func(rows int) *tensor.Matrix {
+			x := tensor.New(rows, net.InSize())
+			for i := range x.Data {
+				x.Data[i] = rng.NormFloat64()
+			}
+			return x
+		}
+		x := batch(1).Row(0)
+		for s, f := range net.Flips() {
+			if a := testing.AllocsPerRun(runs, func() { net.PostAt(x, s, f.N-1) }); a != 0 {
+				t.Errorf("%s: PostAt at flip site %d allocates %.0f times", b.name, s, a)
+			}
+		}
+		for r, rl := range net.ReLUs() {
+			if a := testing.AllocsPerRun(runs, func() { net.ReluInAt(x, r, rl.N-1) }); a != 0 {
+				t.Errorf("%s: ReluInAt at ReLU site %d allocates %.0f times", b.name, r, a)
+			}
+		}
+		sl := net.Split(net.NumFlipSites() - 1)
+		prefix := func(x *tensor.Matrix) {
+			h := sl.PrefixForward(x)
+			if h != x {
+				defer tensor.PutMatrix(h)
+			}
+		}
+		x4, x16 := batch(4), batch(16)
+		for _, pass := range []struct {
+			name string
+			run  func(*tensor.Matrix)
+		}{
+			{"ForwardBatch", func(x *tensor.Matrix) { tensor.PutMatrix(net.ForwardBatch(x)) }},
+			{"PrefixForward", prefix},
+		} {
+			a4 := testing.AllocsPerRun(runs, func() { pass.run(x4) })
+			a16 := testing.AllocsPerRun(runs, func() { pass.run(x16) })
+			if a4 != a16 {
+				t.Errorf("%s: %s allocates %.0f times for 4 rows but %.0f for 16", b.name, pass.name, a4, a16)
+			}
+		}
+	}
+}

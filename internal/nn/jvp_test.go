@@ -105,7 +105,7 @@ func TestJVPFlipAndPreActJacobian(t *testing.T) {
 	if !tensor.Equal(j, d1.W.W, 1e-12) {
 		t.Fatal("site-0 Jacobian should be the first weight matrix")
 	}
-	want := d1.Forward(x, nil)
+	want := forward(d1, x)
 	for i := range u {
 		if math.Abs(u[i]-want[i]) > 1e-12 {
 			t.Fatalf("site-0 pre-activation mismatch at %d", i)

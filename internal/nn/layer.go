@@ -93,8 +93,12 @@ func (t *JVPTrace) stopped() bool { return t != nil && t.hit }
 
 // Layer is the building block of a Network.
 //
-// Forward must be pure (safe for concurrent use); it records into tr when tr
-// is non-nil.
+// Forward is the layer's one single-example pass: it writes all OutSize()
+// outputs of input x into y, which must not alias x (shape-only layers
+// such as Flatten copy), and records into tr when tr is non-nil. y may come
+// from the workspace pool with arbitrary contents. Forward must be pure
+// (safe for concurrent use). Recorded values are copies, so the caller may
+// recycle x and y at once.
 //
 // JVP propagates the value x together with the Jacobian J (d_in × P) of x
 // w.r.t. the network input. It consumes its tangent: J is a pooled
@@ -122,7 +126,7 @@ type Layer interface {
 	InSize() int
 	OutSize() int
 
-	Forward(x []float64, tr *Trace) []float64
+	Forward(y, x []float64, tr *Trace)
 	ForwardBatch(x *tensor.Matrix) *tensor.Matrix
 
 	TrainForward(x *tensor.Matrix) *tensor.Matrix
@@ -133,16 +137,24 @@ type Layer interface {
 	Params() []*Param
 }
 
-// siteRegistrar is implemented by layers that own a recordable site (Flip,
-// SoftFlip, ReLU) so Network.build can assign site IDs, including inside
-// containers.
-type siteRegistrar interface {
-	registerSites(nextFlip, nextReLU *int)
-}
-
-// container is implemented by layers that hold sub-layers (Residual).
-type container interface {
-	subLayers() []Layer
+// hasSite reports whether l is, or inside a Residual holds, flip site flip
+// or ReLU site relu; -1 names no site.
+func hasSite(l Layer, flip, relu int) bool {
+	switch v := l.(type) {
+	case *Flip:
+		return v.SiteID == flip
+	case *ReLU:
+		return v.SiteID == relu
+	case *Residual:
+		for _, path := range [...][]Layer{v.Body, v.Shortcut} {
+			for _, sub := range path {
+				if hasSite(sub, flip, relu) {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }
 
 // trainStateOwner is implemented by layers whose training passes keep
@@ -152,8 +164,8 @@ type trainStateOwner interface {
 	dropTrainState()
 }
 
-// dropTrainState drops the training state of every layer in ls, including
-// the sub-layers of containers.
+// dropTrainState drops the training state of every layer in ls; a
+// Residual drops that of its paths.
 func dropTrainState(ls []Layer) {
 	for _, l := range ls {
 		if o, ok := l.(trainStateOwner); ok {
@@ -187,11 +199,39 @@ func checkSize(layer string, want, got int) {
 // forwardBatchViaSingle implements ForwardBatch for layers whose batch path
 // is just a per-row map of the single-example path.
 func forwardBatchViaSingle(l Layer, x *tensor.Matrix) *tensor.Matrix {
-	// Every row is fully assigned from the layer's Forward result, so a
-	// pooled buffer is safe.
+	// Forward assigns every element of its output row, so a pooled buffer
+	// is safe.
 	out := tensor.GetMatrix(x.Rows, l.OutSize())
 	for i := 0; i < x.Rows; i++ {
-		out.SetRow(i, l.Forward(x.Row(i), nil))
+		l.Forward(out.Row(i), x.Row(i), nil)
 	}
 	return out
+}
+
+// forwardChain runs layers over x, staging each layer's output in a pooled
+// vector and releasing the one it consumed, and records into tr when tr is
+// non-nil. A non-nil stop is checked after every layer; once it reports
+// true the walk releases its vector and returns nil. Otherwise it returns
+// the last layer's output (a pooled copy of x when layers is empty), which
+// the caller releases with tensor.PutVec.
+func forwardChain(layers []Layer, x []float64, tr *Trace, stop func() bool) []float64 {
+	if len(layers) == 0 {
+		y := tensor.GetVec(len(x))
+		copy(y, x)
+		return y
+	}
+	cur := x
+	for i, l := range layers {
+		next := tensor.GetVec(l.OutSize())
+		l.Forward(next, cur, tr)
+		if i > 0 {
+			tensor.PutVec(cur)
+		}
+		cur = next
+		if stop != nil && stop() {
+			tensor.PutVec(cur)
+			return nil
+		}
+	}
+	return cur
 }

@@ -29,22 +29,19 @@ func NewNetwork(layers ...Layer) *Network {
 		}
 	}
 	n := &Network{Layers: layers}
-	nextFlip, nextReLU := 0, 0
 	var walk func(ls []Layer)
 	walk = func(ls []Layer) {
 		for _, l := range ls {
-			if c, ok := l.(container); ok {
-				walk(c.subLayers())
-				continue
-			}
-			if r, ok := l.(siteRegistrar); ok {
-				r.registerSites(&nextFlip, &nextReLU)
-				switch v := l.(type) {
-				case *Flip:
-					n.flips = append(n.flips, v)
-				case *ReLU:
-					n.relus = append(n.relus, v)
-				}
+			switch v := l.(type) {
+			case *Residual:
+				walk(v.Body)
+				walk(v.Shortcut)
+			case *Flip:
+				v.SiteID = len(n.flips)
+				n.flips = append(n.flips, v)
+			case *ReLU:
+				v.SiteID = len(n.relus)
+				n.relus = append(n.relus, v)
 			}
 		}
 	}
@@ -72,10 +69,7 @@ func (n *Network) NumFlipSites() int { return len(n.flips) }
 // activations are staged in pooled workspaces; the returned logits are a
 // fresh slice the caller owns.
 func (n *Network) Forward(x []float64) []float64 {
-	y, pooled := forwardVecChain(n.Layers, x)
-	if !pooled {
-		return y
-	}
+	y := forwardChain(n.Layers, x, nil, nil)
 	out := append([]float64(nil), y...)
 	tensor.PutVec(y)
 	return out
@@ -90,36 +84,16 @@ func (n *Network) newTrace() *Trace {
 	}
 }
 
-// forwardTrace drives the trace-recording pass over pooled intermediates.
-// The trace only ever holds clones (and, at the end, a fresh copy of the
-// logits), so recycling the chain buffers is invisible to callers. A
-// non-nil stop predicate is checked after every top-level layer; on stop
-// tr.Out stays nil, exactly like the early return it replaces.
+// forwardTrace runs the trace-recording pass. The trace holds only copies
+// (and, at the end, a fresh copy of the logits), so the walk recycles its
+// intermediates. A non-nil stop predicate is checked after every top-level
+// layer; on stop tr.Out stays nil.
 func (n *Network) forwardTrace(x []float64, tr *Trace, stop func() bool) {
-	cur, pooled := x, false
-	for _, l := range n.Layers {
-		if next, np, ok := forwardVecLayer(l, cur, tr); ok {
-			if pooled {
-				tensor.PutVec(cur)
-			}
-			cur, pooled = next, np
-		} else if next := l.Forward(cur, tr); !sameVec(next, cur) {
-			if pooled {
-				tensor.PutVec(cur)
-			}
-			cur, pooled = next, false
-		}
-		if stop != nil && stop() {
-			if pooled {
-				tensor.PutVec(cur)
-			}
-			return
-		}
+	y := forwardChain(n.Layers, x, tr, stop)
+	if y != nil {
+		tr.Out = append([]float64(nil), y...)
 	}
-	tr.Out = append([]float64(nil), cur...)
-	if pooled {
-		tensor.PutVec(cur)
-	}
+	tensor.PutVec(y)
 }
 
 // ForwardTrace computes the logits while recording flip-site pre/post
@@ -149,6 +123,61 @@ func (n *Network) ForwardTraceToReLU(x []float64, reluSite int) *Trace {
 		return reluSite >= 0 && reluSite < len(tr.ReluIn) && tr.ReluIn[reluSite] != nil
 	})
 	return tr
+}
+
+// PostAt returns the post-flip value of element idx at flip site `site` —
+// the scalar the §3.5 critical-point bisection reads. It computes exactly
+// the values of ForwardTraceTo but records nothing and stops as soon as the
+// flip has run, so a probe costs the prefix forward plus one flip row.
+func (n *Network) PostAt(x []float64, site, idx int) float64 {
+	return n.probe(x, site, -1, idx)
+}
+
+// ReluInAt returns the input of element idx at ReLU site `reluSite`, the
+// scalar bisected by the validation's hyperplane probes. Same contract as
+// PostAt.
+func (n *Network) ReluInAt(x []float64, reluSite, idx int) float64 {
+	return n.probe(x, -1, reluSite, idx)
+}
+
+// probe runs probeChain over the network, whose layers must hold the site.
+func (n *Network) probe(x []float64, flip, relu, idx int) float64 {
+	v, ok := probeChain(n.Layers, x, flip, relu, idx)
+	if !ok {
+		panic(fmt.Sprintf("nn: site (flip %d, relu %d) never reached", flip, relu))
+	}
+	return v
+}
+
+// probeChain returns element idx of the probed value: the output of flip site
+// flip, or the input of ReLU site relu (-1 names neither). The layers
+// before the one holding the site run through forwardChain, and a Residual
+// holding it is entered along that path only, so nothing downstream and no
+// path is evaluated twice. ok is false when no layer holds the site.
+func probeChain(layers []Layer, x []float64, flip, relu, idx int) (v float64, ok bool) {
+	k := 0
+	for k < len(layers) && !hasSite(layers[k], flip, relu) {
+		k++
+	}
+	if k == len(layers) {
+		return 0, false
+	}
+	cur := forwardChain(layers[:k], x, nil, nil)
+	switch l := layers[k].(type) {
+	case *Flip:
+		y := tensor.GetVec(l.N)
+		l.Forward(y, cur, nil)
+		v = y[idx]
+		tensor.PutVec(y)
+	case *ReLU:
+		v = cur[idx]
+	case *Residual:
+		if v, ok = probeChain(l.Body, cur, flip, relu, idx); !ok {
+			v, _ = probeChain(l.Shortcut, cur, flip, relu, idx)
+		}
+	}
+	tensor.PutVec(cur)
+	return v, true
 }
 
 // ForwardBatch computes logits for a batch (rows = examples). Consumed
@@ -242,6 +271,12 @@ func (n *Network) jacobianTo(x []float64, jtr *JVPTrace) ([]float64, *tensor.Mat
 		v = append([]float64(nil), x...)
 	}
 	return v, j
+}
+
+// sameVec reports whether two slices share a backing array start — the
+// identity-layer case (Flatten's JVP returns its input untouched).
+func sameVec(a, b []float64) bool {
+	return len(a) > 0 && len(b) > 0 && &a[0] == &b[0]
 }
 
 // identitySeed returns the pooled n×n identity a sweep starts from.

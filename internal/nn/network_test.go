@@ -203,18 +203,18 @@ func TestSoftFlipCoeffsAndIndices(t *testing.T) {
 	}
 	// Gated relaxation at w=0 outputs |u|/2.
 	x := []float64{1, 2, -3}
-	y := f.Forward(x, nil)
+	y := forward(f, x)
 	if math.Abs(y[0]-0.5) > 1e-12 || y[1] != 2 || math.Abs(y[2]-1.5) > 1e-12 {
 		t.Fatalf("soft forward = %v", y)
 	}
 	// Extremes recover the two hard branches.
 	p.W.Data[0] = 50 // s≈1: ReLU(−u)
 	p.W.Data[1] = -50
-	y = f.Forward(x, nil)
+	y = forward(f, x)
 	if math.Abs(y[0]-0) > 1e-9 || math.Abs(y[2]-0) > 1e-9 {
 		t.Fatalf("extreme soft forward = %v", y)
 	}
-	y = f.Forward([]float64{-1, 0, 3}, nil)
+	y = forward(f, []float64{-1, 0, 3})
 	if math.Abs(y[0]-1) > 1e-9 || math.Abs(y[2]-3) > 1e-9 {
 		t.Fatalf("extreme soft forward = %v", y)
 	}
@@ -224,7 +224,7 @@ func TestSoftFlipUngatedLinear(t *testing.T) {
 	f := NewFlip(2)
 	p := f.Soften([]int{0}, false)
 	p.W.Data[0] = 50 // s≈1 ⇒ K'≈−1 ⇒ y ≈ −u
-	y := f.Forward([]float64{2, 5}, nil)
+	y := forward(f, []float64{2, 5})
 	if math.Abs(y[0]+2) > 1e-9 || y[1] != 5 {
 		t.Fatalf("ungated soft forward = %v", y)
 	}

@@ -91,13 +91,6 @@ func (pe *PatchEmbed) scatter(dst []float64, t int, src []float64) {
 	}
 }
 
-// forwardOne embeds one example; bias optional for the linear tangent path.
-func (pe *PatchEmbed) forwardOne(x []float64, withBias bool) []float64 {
-	out := make([]float64, pe.OutSize())
-	pe.forwardInto(x, out, make([]float64, pe.C*pe.P*pe.P), withBias)
-	return out
-}
-
 // forwardInto embeds one example into out (length OutSize), gathering each
 // patch into buf (length C·P·P).
 func (pe *PatchEmbed) forwardInto(x, out, buf []float64, withBias bool) {
@@ -114,10 +107,12 @@ func (pe *PatchEmbed) forwardInto(x, out, buf []float64, withBias bool) {
 	}
 }
 
-// Forward embeds one flat example.
-func (pe *PatchEmbed) Forward(x []float64, _ *Trace) []float64 {
+// Forward embeds one flat example, gathering patches into a pooled buffer.
+func (pe *PatchEmbed) Forward(y, x []float64, _ *Trace) {
 	checkSize("patch_embed", pe.InSize(), len(x))
-	return pe.forwardOne(x, true)
+	buf := tensor.GetVec(pe.C * pe.P * pe.P)
+	pe.forwardInto(x, y, buf, true)
+	tensor.PutVec(buf)
 }
 
 // ForwardBatch embeds each row.
@@ -194,13 +189,14 @@ func (pe *PatchEmbed) Backward(dy *tensor.Matrix) *tensor.Matrix {
 // Tangents are staged through pooled transposes, as in Conv2D.JVP, so each
 // column embeds contiguously into one shared patch buffer.
 func (pe *PatchEmbed) JVP(x []float64, j *tensor.Matrix, _ *JVPTrace) ([]float64, *tensor.Matrix) {
-	y := pe.forwardOne(x, true)
+	buf := tensor.GetVec(pe.C * pe.P * pe.P)
+	y := make([]float64, pe.OutSize())
+	pe.forwardInto(x, y, buf, true)
 	p := j.Cols
 	jT := tensor.GetMatrix(p, pe.InSize())
 	j.TransposeInto(jT)
 	tensor.PutMatrix(j)
 	jyT := tensor.GetMatrix(p, pe.OutSize())
-	buf := tensor.GetVec(pe.C * pe.P * pe.P)
 	for t := 0; t < p; t++ {
 		pe.forwardInto(jT.Row(t), jyT.Row(t), buf, false)
 	}

@@ -94,30 +94,15 @@ func (m *MaxPool2D) forwardArgInto(x, y []float64, arg []int) {
 	}
 }
 
-// forwardArg pools one example and reports the argmax input index per output.
-func (m *MaxPool2D) forwardArg(x []float64) (y []float64, arg []int) {
-	y = make([]float64, m.OutSize())
-	arg = make([]int, m.OutSize())
-	m.forwardArgInto(x, y, arg)
-	return y, arg
-}
-
 // Forward pools one example. The argmax indices are not materialized.
-func (m *MaxPool2D) Forward(x []float64, _ *Trace) []float64 {
+func (m *MaxPool2D) Forward(y, x []float64, _ *Trace) {
 	checkSize("maxpool2d", m.InSize(), len(x))
-	y := make([]float64, m.OutSize())
 	m.forwardArgInto(x, y, nil)
-	return y
 }
 
-// ForwardBatch pools each row, writing straight into the output rows.
+// ForwardBatch pools each row.
 func (m *MaxPool2D) ForwardBatch(x *tensor.Matrix) *tensor.Matrix {
-	// forwardArgInto assigns every output element, so a pooled buffer is safe.
-	out := tensor.GetMatrix(x.Rows, m.OutSize())
-	for r := 0; r < x.Rows; r++ {
-		m.forwardArgInto(x.Row(r), out.Row(r), nil)
-	}
-	return out
+	return forwardBatchViaSingle(m, x)
 }
 
 // TrainForward pools and caches argmax indices for Backward. The index
@@ -159,7 +144,9 @@ func (m *MaxPool2D) dropTrainState() { m.lastArg, m.y, m.dx = nil, nil, nil }
 // JVP selects tangent rows by the value path's argmax (exact inside a linear
 // region, where the argmax is locally constant).
 func (m *MaxPool2D) JVP(x []float64, j *tensor.Matrix, _ *JVPTrace) ([]float64, *tensor.Matrix) {
-	y, arg := m.forwardArg(x)
+	y := make([]float64, m.OutSize())
+	arg := make([]int, m.OutSize())
+	m.forwardArgInto(x, y, arg)
 	jy := tensor.GetMatrix(m.OutSize(), j.Cols)
 	for o, idx := range arg {
 		jy.SetRow(o, j.Row(idx))
@@ -190,15 +177,8 @@ func (g *GlobalAvgPool) InSize() int { return g.C * g.H * g.W }
 func (g *GlobalAvgPool) OutSize() int { return g.C }
 
 // Forward averages each channel.
-func (g *GlobalAvgPool) Forward(x []float64, _ *Trace) []float64 {
+func (g *GlobalAvgPool) Forward(y, x []float64, _ *Trace) {
 	checkSize("global_avg_pool", g.InSize(), len(x))
-	y := make([]float64, g.C)
-	g.forwardInto(x, y)
-	return y
-}
-
-// forwardInto averages each channel of x into y (length C).
-func (g *GlobalAvgPool) forwardInto(x, y []float64) {
 	plane := g.H * g.W
 	for c := 0; c < g.C; c++ {
 		s := 0.0
@@ -216,10 +196,9 @@ func (g *GlobalAvgPool) ForwardBatch(x *tensor.Matrix) *tensor.Matrix {
 
 // TrainForward is ForwardBatch (the map is linear; no cache needed).
 func (g *GlobalAvgPool) TrainForward(x *tensor.Matrix) *tensor.Matrix {
-	checkSize("global_avg_pool", g.InSize(), x.Cols)
 	y := ensure(&g.y, x.Rows, g.C)
 	for r := 0; r < x.Rows; r++ {
-		g.forwardInto(x.Row(r), y.Row(r))
+		g.Forward(y.Row(r), x.Row(r), nil)
 	}
 	return y
 }
@@ -248,7 +227,8 @@ func (g *GlobalAvgPool) Backward(dy *tensor.Matrix) *tensor.Matrix {
 
 // JVP averages tangent rows channel-wise.
 func (g *GlobalAvgPool) JVP(x []float64, j *tensor.Matrix, _ *JVPTrace) ([]float64, *tensor.Matrix) {
-	y := g.Forward(x, nil)
+	y := make([]float64, g.C)
+	g.Forward(y, x, nil)
 	plane := g.H * g.W
 	inv := 1 / float64(plane)
 	jy := tensor.GetMatrixZero(g.C, j.Cols)
@@ -288,15 +268,9 @@ func (m *MeanTokens) InSize() int { return m.T * m.D }
 func (m *MeanTokens) OutSize() int { return m.D }
 
 // Forward averages tokens.
-func (m *MeanTokens) Forward(x []float64, _ *Trace) []float64 {
+func (m *MeanTokens) Forward(y, x []float64, _ *Trace) {
 	checkSize("mean_tokens", m.InSize(), len(x))
-	y := make([]float64, m.D)
-	m.forwardInto(x, y)
-	return y
-}
-
-// forwardInto averages the tokens of x into the zeroed y (length D).
-func (m *MeanTokens) forwardInto(x, y []float64) {
+	clear(y)
 	for t := 0; t < m.T; t++ {
 		for d := 0; d < m.D; d++ {
 			y[d] += x[t*m.D+d]
@@ -315,11 +289,9 @@ func (m *MeanTokens) ForwardBatch(x *tensor.Matrix) *tensor.Matrix {
 
 // TrainForward is ForwardBatch (linear map).
 func (m *MeanTokens) TrainForward(x *tensor.Matrix) *tensor.Matrix {
-	checkSize("mean_tokens", m.InSize(), x.Cols)
 	y := ensure(&m.y, x.Rows, m.D)
-	clear(y.Data)
 	for r := 0; r < x.Rows; r++ {
-		m.forwardInto(x.Row(r), y.Row(r))
+		m.Forward(y.Row(r), x.Row(r), nil)
 	}
 	return y
 }
@@ -346,7 +318,8 @@ func (m *MeanTokens) Backward(dy *tensor.Matrix) *tensor.Matrix {
 
 // JVP averages tangent rows token-wise.
 func (m *MeanTokens) JVP(x []float64, j *tensor.Matrix, _ *JVPTrace) ([]float64, *tensor.Matrix) {
-	y := m.Forward(x, nil)
+	y := make([]float64, m.D)
+	m.Forward(y, x, nil)
 	inv := 1 / float64(m.T)
 	jy := tensor.GetMatrixZero(m.D, j.Cols)
 	for t := 0; t < m.T; t++ {

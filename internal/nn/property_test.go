@@ -8,14 +8,21 @@ import (
 	"dnnlock/internal/tensor"
 )
 
+// forward runs l's single-example forward into a fresh slice.
+func forward(l Layer, x []float64) []float64 {
+	y := make([]float64, l.OutSize())
+	l.Forward(y, x, nil)
+	return y
+}
+
 // affineCheck verifies the affine superposition property that the attack's
 // algebra rests on: f(x+y) − f(0) == (f(x) − f(0)) + (f(y) − f(0)).
 func affineCheck(l Layer, x, y []float64, tol float64) bool {
 	zero := make([]float64, l.InSize())
-	f0 := l.Forward(zero, nil)
-	fx := l.Forward(x, nil)
-	fy := l.Forward(y, nil)
-	fxy := l.Forward(tensor.VecAdd(x, y), nil)
+	f0 := forward(l, zero)
+	fx := forward(l, x)
+	fy := forward(l, y)
+	fxy := forward(l, tensor.VecAdd(x, y))
 	for i := range f0 {
 		lhs := fxy[i] - f0[i]
 		rhs := (fx[i] - f0[i]) + (fy[i] - f0[i])
@@ -71,8 +78,8 @@ func TestReLUPositiveHomogeneity(t *testing.T) {
 		x := randVecN(rng, 8)
 		a := 0.1 + rng.Float64()*5
 		ax := tensor.VecScale(a, x)
-		lhs := r.Forward(ax, nil)
-		rhs := tensor.VecScale(a, r.Forward(x, nil))
+		lhs := forward(r, ax)
+		rhs := tensor.VecScale(a, forward(r, x))
 		return tensor.NormInf(tensor.VecSub(lhs, rhs)) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -86,8 +93,8 @@ func TestMaxPoolPositiveHomogeneity(t *testing.T) {
 		p := NewMaxPool2D(1, 4, 4, 2, 2)
 		x := randVecN(rng, p.InSize())
 		a := 0.1 + rng.Float64()*3
-		lhs := p.Forward(tensor.VecScale(a, x), nil)
-		rhs := tensor.VecScale(a, p.Forward(x, nil))
+		lhs := forward(p, tensor.VecScale(a, x))
+		rhs := tensor.VecScale(a, forward(p, x))
 		return tensor.NormInf(tensor.VecSub(lhs, rhs)) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
@@ -109,7 +116,7 @@ func TestNegationFlipIsSignFlip(t *testing.T) {
 			}
 		}
 		x := randVecN(rng, 6)
-		y := fl.Forward(x, nil)
+		y := forward(fl, x)
 		for j := range x {
 			want := x[j]
 			if protected[j] {
@@ -132,8 +139,8 @@ func TestResidualIsSumOfPaths(t *testing.T) {
 	short := []Layer{NewDense(5, 5).InitHe(rng)}
 	res := NewResidual(body, short)
 	x := randVecN(rng, 5)
-	want := tensor.VecAdd(body[0].Forward(x, nil), short[0].Forward(x, nil))
-	if tensor.NormInf(tensor.VecSub(res.Forward(x, nil), want)) > 1e-12 {
+	want := tensor.VecAdd(forward(body[0], x), forward(short[0], x))
+	if tensor.NormInf(tensor.VecSub(forward(res, x), want)) > 1e-12 {
 		t.Fatal("residual is not the sum of its paths")
 	}
 }

@@ -31,22 +31,15 @@ func (r *Residual) InSize() int { return r.Body[0].InSize() }
 // OutSize returns the body's output size.
 func (r *Residual) OutSize() int { return r.Body[len(r.Body)-1].OutSize() }
 
-func (r *Residual) subLayers() []Layer {
-	out := append([]Layer(nil), r.Body...)
-	return append(out, r.Shortcut...)
-}
-
-// Forward runs both paths and sums them.
-func (r *Residual) Forward(x []float64, tr *Trace) []float64 {
-	b := x
-	for _, l := range r.Body {
-		b = l.Forward(b, tr)
+// Forward runs the body, then the shortcut, and sums them into y.
+func (r *Residual) Forward(y, x []float64, tr *Trace) {
+	b := forwardChain(r.Body, x, tr, nil)
+	s := forwardChain(r.Shortcut, x, tr, nil)
+	for i := range y {
+		y[i] = b[i] + s[i]
 	}
-	s := x
-	for _, l := range r.Shortcut {
-		s = l.Forward(s, tr)
-	}
-	return tensor.VecAdd(b, s)
+	tensor.PutVec(b)
+	tensor.PutVec(s)
 }
 
 // ForwardBatch runs both paths and sums them. Consumed chain intermediates
@@ -156,11 +149,13 @@ func (r *Residual) JVP(x []float64, j *tensor.Matrix, jtr *JVPTrace) ([]float64,
 	return tensor.VecAdd(bv, sv), bj
 }
 
-// Params returns all parameters of both paths.
+// Params returns all parameters of the body, then of the shortcut.
 func (r *Residual) Params() []*Param {
 	var out []*Param
-	for _, l := range r.subLayers() {
-		out = append(out, l.Params()...)
+	for _, path := range [...][]Layer{r.Body, r.Shortcut} {
+		for _, l := range path {
+			out = append(out, l.Params()...)
+		}
 	}
 	return out
 }

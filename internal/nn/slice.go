@@ -17,7 +17,7 @@ import (
 //
 // The cut is placed at top-level layer granularity: the suffix starts at the
 // first top-level layer that contains the given flip site (possibly inside
-// a Residual container). Flip site IDs are assigned in network walk order,
+// a Residual). Flip site IDs are assigned in network walk order,
 // so every flip in the prefix has a strictly smaller site ID and therefore
 // stays hard/frozen during the fit.
 //
@@ -37,7 +37,7 @@ type Slice struct {
 // containing flip site `site`. Panics if the site does not exist.
 func (n *Network) Split(site int) *Slice {
 	for i, l := range n.Layers {
-		if layerHasFlipSite(l, site) {
+		if hasSite(l, site, -1) {
 			return &Slice{net: n, cut: i}
 		}
 	}
@@ -49,22 +49,6 @@ func (n *Network) Split(site int) *Slice {
 // reference path the slice equivalence tests (and the unsliced ablation)
 // compare against.
 func (n *Network) FullSlice() *Slice { return &Slice{net: n, cut: 0} }
-
-// layerHasFlipSite reports whether l is, or contains, the flip with the
-// given site ID.
-func layerHasFlipSite(l Layer, site int) bool {
-	switch v := l.(type) {
-	case *Flip:
-		return v.SiteID == site
-	case container:
-		for _, sub := range v.subLayers() {
-			if layerHasFlipSite(sub, site) {
-				return true
-			}
-		}
-	}
-	return false
-}
 
 // Cut returns the index of the first suffix layer.
 func (s *Slice) Cut() int { return s.cut }
@@ -79,10 +63,12 @@ func (s *Slice) BoundaryWidth() int {
 }
 
 // PrefixForward evaluates the frozen prefix for every row of x and returns
-// the boundary activations. Rows are sharded over tensor.Parallelism()
-// goroutines (Layer.Forward is documented pure), and the cache lands in a
-// pooled workspace: the caller must release it with tensor.PutMatrix unless
-// the prefix is empty, in which case x itself is returned.
+// the boundary activations. Each row runs the network's single-example walk
+// (forwardChain, pooled intermediates), rows are sharded over
+// tensor.Parallelism() goroutines (Layer.Forward is documented pure), and
+// the cache lands in a pooled workspace: the caller must release it with
+// tensor.PutMatrix unless the prefix is empty, in which case x itself is
+// returned.
 func (s *Slice) PrefixForward(x *tensor.Matrix) *tensor.Matrix {
 	if s.cut == 0 {
 		return x
@@ -91,11 +77,9 @@ func (s *Slice) PrefixForward(x *tensor.Matrix) *tensor.Matrix {
 	h := tensor.GetMatrix(x.Rows, s.BoundaryWidth())
 	rowRange := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			v := x.Row(i)
-			for _, l := range prefix {
-				v = l.Forward(v, nil)
-			}
+			v := forwardChain(prefix, x.Row(i), nil, nil)
 			copy(h.Row(i), v)
+			tensor.PutVec(v)
 		}
 	}
 	workers := tensor.Parallelism()

@@ -108,12 +108,12 @@ func TestSplitPrefixHoldsOnlyEarlierSites(t *testing.T) {
 			sl := net.Split(s)
 			for _, l := range net.Layers[:sl.Cut()] {
 				for pre := 0; pre < net.NumFlipSites(); pre++ {
-					if layerHasFlipSite(l, pre) && pre >= s {
+					if hasSite(l, pre, -1) && pre >= s {
 						t.Fatalf("net %d: Split(%d) left site %d in the prefix", ni, s, pre)
 					}
 				}
 			}
-			if !layerHasFlipSite(net.Layers[sl.Cut()], s) && sl.Cut() != 0 {
+			if !hasSite(net.Layers[sl.Cut()], s, -1) && sl.Cut() != 0 {
 				// The cut layer itself must contain the split site.
 				t.Fatalf("net %d: Split(%d) cut layer %d misses the site", ni, s, sl.Cut())
 			}

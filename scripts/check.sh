@@ -54,14 +54,16 @@ go test -race ./internal/...
 # Core-count parity (DESIGN.md §14): the attack builds every oracle batch
 # explicitly, in index order, so keys, queries and rounds may not depend on
 # how many threads run it. The worker-parity, error-correction, checkpoint,
-# zero-channel farm and daemon parity tests, and the fixture that pins every
+# zero-channel farm and daemon parity tests, the fixture that pins every
 # outcome (rounds included) of the Table 1, variant, robustness and farm
-# cells, run three times at each of three GOMAXPROCS values.
+# cells, and the fixture that pins every probe Jacobian and forward pass
+# bit for bit (PrefixForward shards rows over goroutines, the kernels shard
+# over the worker pool) run three times at each of three GOMAXPROCS values.
 echo "==> core-count parity (GOMAXPROCS=1,2,4; -count=3)"
 for PROCS in 1 2 4; do
 	GOMAXPROCS=$PROCS go test -count=3 \
-		-run 'TestDecryptParallelWorkersMatchSerial|TestErrorCorrectionRepairs|TestCheckpoint|TestFarmZeroChannelIsPassThrough|TestFitTrajectoryFixture|TestDaemonEndToEndParity|TestDaemonSuspendResume' \
-		./internal/core ./internal/harness ./internal/service
+		-run 'TestDecryptParallelWorkersMatchSerial|TestErrorCorrectionRepairs|TestCheckpoint|TestFarmZeroChannelIsPassThrough|TestFitTrajectoryFixture|TestJacobianFixture|TestDaemonEndToEndParity|TestDaemonSuspendResume' \
+		./internal/core ./internal/harness ./internal/nn ./internal/service
 done
 
 # Robustness smoke (DESIGN.md §11): the oracle-boundary hardening must keep
