@@ -148,8 +148,8 @@ func benchDecrypt(b *testing.B, kind string, bits int, mutate func(*core.Config)
 	}
 }
 
-// Tracer overhead (DESIGN.md §12): the same decryption cell once with the
-// no-op default tracer and once exporting a full detailed trace to
+// Tracer overhead (DESIGN.md §12): the same decryption cell once untraced
+// (no spans at all) and once exporting a full detailed trace to
 // io.Discard. bench.sh records both, so the observability layer's cost
 // stays a tracked, diffable number.
 func BenchmarkDecryptTracerOff(b *testing.B) { benchDecrypt(b, "mlp", 8, nil) }

@@ -18,10 +18,10 @@
 // Observability: -trace exports a JSONL span trace of the whole sweep
 // (read it back with `dnnlock trace`), -pprof serves net/http/pprof on a
 // private mux, and -v (or DNNLOCK_LOG=debug) turns on structured debug
-// logging. `dnnlock trace -check` audits a trace end to end: exported
-// summaries must equal a rollup recomputed from the raw spans — queries,
-// rounds, per-procedure times, and (for farm traces) the two-way sim_ns
-// reconciliation between the transport's channel clock and the span tree.
+// logging. `dnnlock trace` renders each anchored attack's Figure 3 table
+// from its phase spans; `-check` audits the file: a walkable span tree
+// with at least one anchor, whose procedures fit inside and cover the
+// anchor's wall time.
 //
 // The long-running service form of this command is dnnlockd (cmd/dnnlockd):
 // the same attacks behind an HTTP job API with checkpoint/resume — see
@@ -90,7 +90,7 @@ func usage() {
   attack  run the DNN decryption attack (or -monolithic) on a saved model
   bench   regenerate the paper's Table 1 / Figure 3
   table1  Table 1 sweep with observability: -trace out.jsonl -pprof :6060 -v
-  trace   render a JSONL trace: Figure-3 breakdown table + flame summary
+  trace   render a JSONL trace: Figure-3 table per anchor + flame summary (-check: tree + coverage)
   robust  sweep the decryption attack across noisy/quantized oracles
   farm    price the attack over a simulated device farm: RTT x bandwidth x loss x fleet mix
   info    describe a saved model
@@ -382,18 +382,16 @@ func cmdTable1(args []string) error {
 	return nil
 }
 
-// cmdTrace reads a JSONL trace produced by `table1 -trace` and renders
-// the Figure-3 breakdown of every anchored attack plus a flame-style
-// summary of the span tree. -check verifies the exported summaries
-// against a rollup recomputed from the raw spans: query and round counts,
-// per-procedure wall-time coverage, and — for traces of farm-backed runs —
-// the two-way sim_ns reconciliation (every span's simulated channel time
-// must roll up to its anchor, and the anchor total must match the
-// transport's channel clock).
+// cmdTrace reads a JSONL trace produced by `table1 -trace` (or a daemon
+// job's trace) and renders the Figure-3 breakdown of every anchored attack,
+// rolled up from its proc-labelled spans, plus a flame-style summary of the
+// span tree. -check requires at least one anchor and, for each, procedure
+// times that sum to no more than the anchor's wall time and to at least
+// -cover of it (ReadTrace has already rejected shared span IDs and cycles).
 func cmdTrace(args []string) error {
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)
 	in := fs.String("in", "trace.jsonl", "JSONL trace file (from `dnnlock table1 -trace`)")
-	check := fs.Bool("check", false, "verify summaries against a span-tree rollup (queries, rounds, proc coverage, and farm sim_ns two-way reconciliation)")
+	check := fs.Bool("check", false, "verify the span tree: at least one anchor, and each anchor's procedures fit inside and cover its wall time")
 	cover := fs.Float64("cover", 0.5, "with -check: minimum fraction of anchor wall time the procedures must cover")
 	depth := fs.Int("depth", 3, "flame summary depth (0 disables)")
 	if err := fs.Parse(args); err != nil {

@@ -44,16 +44,16 @@ type Attack struct {
 	// report).
 	crit critStats
 
-	// Observability. tracer and log are never nil (New substitutes the
-	// no-op tracer and the env-controlled default logger). root is the
-	// attack's root span, the rollup anchor of bd; phase is the span of the
+	// Observability. log is never nil (New substitutes the env-controlled
+	// default logger). root is the attack's root span, the anchor its
+	// trace renderers roll the phase spans up to; phase is the span of the
 	// procedure currently running — written only by trackProc between
 	// phases, read by that phase's worker goroutines (the write
-	// happens-before the workers start).
-	tracer *obs.Tracer
-	root   *obs.Span
-	phase  *obs.Span
-	log    *slog.Logger
+	// happens-before the workers start). Both are nil unless the run is
+	// traced to a sink.
+	root  *obs.Span
+	phase *obs.Span
+	log   *slog.Logger
 }
 
 // New prepares an attack against the locked model served by orc. The
@@ -70,7 +70,6 @@ func New(white *nn.Network, spec hpnn.LockSpec, orc oracle.Interface, cfg Config
 		decided:    make([]bool, spec.NumBits()),
 		confidence: make([]float64, spec.NumBits()),
 		origins:    make([]BitOrigin, spec.NumBits()),
-		tracer:     tracerFor(cfg),
 		log:        loggerFor(cfg),
 	}
 	a.cfg.critStats = &a.crit
@@ -81,20 +80,8 @@ func New(white *nn.Network, spec hpnn.LockSpec, orc oracle.Interface, cfg Config
 	return a
 }
 
-// Breakdown exposes the per-procedure timing (Figure 3).
+// Breakdown exposes the attack's per-procedure ledger (Figure 3).
 func (a *Attack) Breakdown() *metrics.Breakdown { return a.bd }
-
-// tracerFor resolves the attack's tracer: the TraceParent's tracer first,
-// then the configured one, then the no-op default.
-func tracerFor(cfg Config) *obs.Tracer {
-	if cfg.TraceParent != nil {
-		return cfg.TraceParent.Tracer()
-	}
-	if cfg.Tracer != nil {
-		return cfg.Tracer
-	}
-	return obs.New()
-}
 
 // loggerFor resolves the attack's logger: Logger, else the
 // DNNLOCK_LOG-controlled default.
@@ -105,42 +92,43 @@ func loggerFor(cfg Config) *slog.Logger {
 	return obs.Default(os.Stderr)
 }
 
-// startRoot opens the attack's root span, parented to cfg.TraceParent when
-// the harness provides one. The span anchors a.bd: every proc-labelled phase
-// span that ends under it adds to the Figure 3 breakdown.
-func (a *Attack) startRoot(name string, attrs ...obs.Attr) *obs.Span {
+// startRoot opens an attack's root span — a child of cfg.TraceParent when
+// the harness provides one, else a root of cfg.Tracer — and marks it as the
+// anchor of the attack's phase spans. It is nil when neither records to a
+// sink.
+func startRoot(cfg Config, name string, attrs ...obs.Attr) *obs.Span {
 	var sp *obs.Span
-	if p := a.cfg.TraceParent; p != nil {
+	if p := cfg.TraceParent; p != nil {
 		sp = p.Child(name, attrs...)
 	} else {
-		sp = a.tracer.Start(name, attrs...)
+		sp = cfg.Tracer.Start(name, attrs...)
 	}
-	sp.SetBreakdown(a.bd)
-	a.root = sp
+	sp.MarkAnchor()
 	return sp
 }
 
-// trackProc runs one procedure phase of Algorithm 2 under a proc-labelled
-// child span of parent. The span times the phase and carries its oracle
-// usage (phases are sequential, so the counter delta is exact); when it
-// ends, both roll up into a.bd through the root anchor. While f runs the
-// span is the attack's current phase — the parent of detail spans and the
-// destination of degradation events raised on worker goroutines.
+// trackProc runs one procedure phase of Algorithm 2 and adds it to a.bd,
+// the attack's ledger: its wall time and its oracle usage. Phases are
+// sequential and every query and round a phase issues has returned before
+// f does, so the counter deltas are exact; simulated channel time (farm
+// transports) follows the same delta discipline. A traced run also gets a
+// proc-labelled child span of parent carrying the same deltas; while f
+// runs it is the attack's current phase — the parent of detail spans and
+// the destination of degradation events raised on worker goroutines.
 func (a *Attack) trackProc(parent *obs.Span, proc metrics.Procedure, f func()) {
 	sp := parent.Child(string(proc), obs.Proc(proc))
-	q0 := a.orc.Queries()
-	r0 := a.orc.Rounds()
-	s0 := simElapsed(a.orc)
+	//lint:ignore determinism telemetry timer for the Figure 3 ledger; the value never feeds the numerics
+	start := time.Now()
+	q0, r0, s0 := a.orc.Queries(), a.orc.Rounds(), simElapsed(a.orc)
 	a.phase = sp
 	f()
 	a.phase = nil
-	sp.AddQueries(a.orc.Queries() - q0)
-	// Rounds are attributed only here, on phase spans, from the same exact
-	// counter delta as queries: every round a phase issues has returned
-	// before f does. Simulated channel time (farm transports) follows the
-	// same delta discipline.
-	sp.AddRounds(a.orc.Rounds() - r0)
-	sp.AddSimNS(int64(simElapsed(a.orc) - s0))
+	dq, dr, ds := a.orc.Queries()-q0, a.orc.Rounds()-r0, simElapsed(a.orc)-s0
+	//lint:ignore determinism telemetry: the phase's wall time goes to the ledger, never to the numerics
+	a.bd.AddPhase(proc, time.Since(start), dq, dr, ds)
+	sp.AddQueries(dq)
+	sp.AddRounds(dr)
+	sp.AddSimNS(int64(ds))
 	sp.End()
 }
 

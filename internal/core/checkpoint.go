@@ -57,15 +57,17 @@ var ErrSuspended = errors.New("core: attack suspended at site boundary")
 //     across deferred sites (mid residual block, §3.7).
 //   - sites: the per-site reports accumulated so far (Result.Sites prefix).
 //   - queries, rounds, wall_ns, sim_ns, degraded, bisect_rounds,
-//     bisect_probes: cumulative run totals at the boundary. On resume they
-//     become the base the new segment's deltas are added to, so the final
-//     Result reports whole-run totals, not segment totals.
-//   - proc_ns, proc_queries, proc_rounds, proc_sim_ns: the cumulative
-//     per-procedure breakdown (Figure 3) keyed by procedure name. Merged
-//     into the resumed Result's *ByProc maps the same way. Note
-//     Result.Breakdown itself stays segment-local on a resumed run — it is
-//     the rollup anchor of the new segment's trace, and `dnnlock trace
-//     -check` requires summaries to equal span rollups exactly.
+//     bisect_probes: cumulative run totals at the boundary, all
+//     nonnegative. On resume they become the base the new segment's deltas
+//     are added to, so the final Result reports whole-run totals, not
+//     segment totals.
+//   - proc_ns, proc_queries, proc_rounds, proc_sim_ns: the attack's
+//     per-procedure ledger (Figure 3), keyed by procedure name: wall time
+//     and simulated channel time in integer nanoseconds, queries and
+//     rounds as counts. Every key is a procedure of metrics.AllProcedures
+//     that ran (so appears in proc_ns), and every value is nonnegative.
+//     Resume seeds the new attack's ledger with them, so the resumed
+//     Result.Breakdown and its *ByProc maps cover the whole run.
 //
 // # Resumability invariants
 //
@@ -104,10 +106,10 @@ type Checkpoint struct {
 	BisectRounds int64 `json:"bisect_rounds"`
 	BisectProbes int64 `json:"bisect_probes"`
 
-	ProcNS      map[metrics.Procedure]int64 `json:"proc_ns,omitempty"`
-	ProcQueries map[metrics.Procedure]int64 `json:"proc_queries,omitempty"`
-	ProcRounds  map[metrics.Procedure]int64 `json:"proc_rounds,omitempty"`
-	ProcSimNS   map[metrics.Procedure]int64 `json:"proc_sim_ns,omitempty"`
+	ProcNS      map[metrics.Procedure]time.Duration `json:"proc_ns,omitempty"`
+	ProcQueries map[metrics.Procedure]int64         `json:"proc_queries,omitempty"`
+	ProcRounds  map[metrics.Procedure]int64         `json:"proc_rounds,omitempty"`
+	ProcSimNS   map[metrics.Procedure]time.Duration `json:"proc_sim_ns,omitempty"`
 }
 
 // Marshal serializes the checkpoint to its JSON wire format.
@@ -182,6 +184,51 @@ func (ck *Checkpoint) validateFor(spec hpnn.LockSpec, cfg Config) error {
 			return fmt.Errorf("core: checkpoint pending site %d is not a site of the lock spec", s)
 		}
 	}
+	for _, c := range [...]struct {
+		name string
+		v    int64
+	}{
+		{"queries", ck.Queries}, {"rounds", ck.Rounds}, {"wall_ns", ck.WallNS}, {"sim_ns", ck.SimNS},
+		{"degraded", ck.Degraded}, {"bisect_rounds", ck.BisectRounds}, {"bisect_probes", ck.BisectProbes},
+	} {
+		if c.v < 0 {
+			return fmt.Errorf("core: checkpoint %s %d is negative", c.name, c.v)
+		}
+	}
+	if err := checkProcMap("proc_ns", ck.ProcNS, ck.ProcNS); err != nil {
+		return err
+	}
+	if err := checkProcMap("proc_queries", ck.ProcQueries, ck.ProcNS); err != nil {
+		return err
+	}
+	if err := checkProcMap("proc_rounds", ck.ProcRounds, ck.ProcNS); err != nil {
+		return err
+	}
+	return checkProcMap("proc_sim_ns", ck.ProcSimNS, ck.ProcNS)
+}
+
+// checkProcMap rejects a per-procedure checkpoint map with a key outside
+// metrics.AllProcedures or absent from ran (proc_ns: the procedures that
+// ran), or with a negative value. It walks AllProcedures rather than the
+// map, so the error it reports does not depend on map order.
+func checkProcMap[V ~int64](name string, m map[metrics.Procedure]V, ran map[metrics.Procedure]time.Duration) error {
+	known := 0
+	for _, p := range metrics.AllProcedures {
+		v, ok := m[p]
+		if !ok {
+			continue
+		}
+		known++
+		if v < 0 {
+			return fmt.Errorf("core: checkpoint %s[%s] %d is negative", name, p, int64(v))
+		}
+		if _, ok := ran[p]; !ok {
+			return fmt.Errorf("core: checkpoint %s names %s, which proc_ns does not", name, p)
+		}
+	}
+	if known != len(m) {
+		return fmt.Errorf("core: checkpoint %s names a procedure outside %v", name, metrics.AllProcedures)
+	}
 	return nil
 }
 
@@ -214,16 +261,16 @@ type resumeBase struct {
 
 	queries, rounds int64
 	wall, sim       time.Duration
-
-	procNS, procQueries, procRounds, procSimNS map[metrics.Procedure]int64
 }
 
 // restore replays a checkpoint into a freshly constructed attack: every
 // decided bit is written back into the identity-hypothesis white box via
 // setBit (reconstructing the working network exactly — flip coefficients
-// are the only state the attack mutates), and the cumulative counters that
+// are the only state the attack mutates), the cumulative counters that
 // live on the attack (degradations, bisection accounting) are re-armed so
-// they keep counting from their checkpointed values.
+// they keep counting from their checkpointed values, and each procedure
+// that ran is seeded into the ledger as one phase holding its checkpointed
+// totals.
 func (a *Attack) restore(ck *Checkpoint) resumeBase {
 	for i := range ck.Decided {
 		if ck.Decided[i] {
@@ -233,6 +280,11 @@ func (a *Attack) restore(ck *Checkpoint) resumeBase {
 	a.degraded.Store(ck.Degraded)
 	a.crit.rounds.Store(ck.BisectRounds)
 	a.crit.probes.Store(ck.BisectProbes)
+	for _, p := range metrics.AllProcedures {
+		if wall, ran := ck.ProcNS[p]; ran {
+			a.bd.AddPhase(p, wall, ck.ProcQueries[p], ck.ProcRounds[p], ck.ProcSimNS[p])
+		}
+	}
 	return resumeBase{
 		sitesDone:    ck.SitesDone,
 		reports:      append([]SiteReport(nil), ck.Sites...),
@@ -243,10 +295,6 @@ func (a *Attack) restore(ck *Checkpoint) resumeBase {
 		rounds:       ck.Rounds,
 		wall:         time.Duration(ck.WallNS),
 		sim:          time.Duration(ck.SimNS),
-		procNS:       ck.ProcNS,
-		procQueries:  ck.ProcQueries,
-		procRounds:   ck.ProcRounds,
-		procSimNS:    ck.ProcSimNS,
 	}
 }
 
@@ -281,54 +329,9 @@ func (a *Attack) snapshot(base *resumeBase, sitesDone int, reports []SiteReport,
 	for i, pn := range a.spec.Neurons {
 		ck.Key[i] = a.applier.read(a.white, pn, i)
 	}
-	s := a.bd.Snapshot()
-	ck.ProcNS = mergeProcCounts(base.procNS, durationsToNS(s.Times))
-	ck.ProcQueries = mergeProcCounts(base.procQueries, s.Queries)
-	ck.ProcRounds = mergeProcCounts(base.procRounds, s.Rounds)
-	ck.ProcSimNS = mergeProcCounts(base.procSimNS, durationsToNS(s.Sim))
+	ledger := a.bd.Snapshot()
+	ck.ProcNS, ck.ProcQueries, ck.ProcRounds, ck.ProcSimNS = ledger.Times, ledger.Queries, ledger.Rounds, ledger.Sim
 	return ck
-}
-
-// durationsToNS converts a per-procedure duration map to integer
-// nanoseconds for the wire format.
-func durationsToNS(in map[metrics.Procedure]time.Duration) map[metrics.Procedure]int64 {
-	out := make(map[metrics.Procedure]int64, len(in))
-	for p, d := range in { //lint:ignore determinism map-to-map copy; insertion order cannot affect the resulting map
-		out[p] = int64(d)
-	}
-	return out
-}
-
-// mergeProcCounts adds the prior-segment totals to this segment's counts.
-// Returns seg untouched when prior is empty (the fresh-run fast path).
-func mergeProcCounts(prior, seg map[metrics.Procedure]int64) map[metrics.Procedure]int64 {
-	if len(prior) == 0 {
-		return seg
-	}
-	out := make(map[metrics.Procedure]int64, len(seg)+len(prior))
-	for p, n := range seg { //lint:ignore determinism map merge; += into a map commutes, order cannot affect the result
-		out[p] = n
-	}
-	for p, n := range prior { //lint:ignore determinism map merge; += into a map commutes, order cannot affect the result
-		out[p] += n
-	}
-	return out
-}
-
-// mergeProcDurations is mergeProcCounts for duration-valued maps (the
-// resumed Result's SimByProc).
-func mergeProcDurations(priorNS map[metrics.Procedure]int64, seg map[metrics.Procedure]time.Duration) map[metrics.Procedure]time.Duration {
-	if len(priorNS) == 0 {
-		return seg
-	}
-	out := make(map[metrics.Procedure]time.Duration, len(seg)+len(priorNS))
-	for p, d := range seg { //lint:ignore determinism map merge; += into a map commutes, order cannot affect the result
-		out[p] = d
-	}
-	for p, ns := range priorNS { //lint:ignore determinism map merge; += into a map commutes, order cannot affect the result
-		out[p] += time.Duration(ns)
-	}
-	return out
 }
 
 // countedSource is a math/rand Source64 that counts raw draws, making the

@@ -6,8 +6,10 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"dnnlock/internal/hpnn"
+	"dnnlock/internal/metrics"
 	"dnnlock/internal/models"
 	"dnnlock/internal/nn"
 	"dnnlock/internal/oracle"
@@ -35,7 +37,8 @@ func checkpointFixture(t testing.TB, bits int) (fresh func() (*nn.Network, hpnn.
 // serialized through the JSON wire format, and resumed against a fresh
 // white box and a fresh clean oracle must be bit-identical — same key, same
 // dec_queries, same rounds, same per-site reports — to the uninterrupted
-// run.
+// run, and its Breakdown must cover the whole run, not just the resumed
+// segment.
 func TestCheckpointResumeBitIdentity(t *testing.T) {
 	fresh, key := checkpointFixture(t, 10)
 
@@ -92,6 +95,12 @@ func TestCheckpointResumeBitIdentity(t *testing.T) {
 			t.Fatalf("boundary %d: resume: %v", i, err)
 		}
 		assertSameRun(t, "resumed from boundary", res, ref)
+		for _, p := range metrics.AllProcedures {
+			if got, prior := res.Breakdown.Get(p), ck.ProcNS[p]; got < prior {
+				t.Fatalf("boundary %d: resumed Breakdown has %s at %v, less than the %v already checkpointed",
+					i, p, got, prior)
+			}
+		}
 	}
 }
 
@@ -181,8 +190,9 @@ func assertSameRun(t *testing.T, label string, got, want *Result) {
 }
 
 // TestCheckpointValidation pins the guard rails: version drift, spec drift,
-// seed drift and out-of-range pending bits and sites are all rejected
-// before any oracle traffic happens.
+// seed drift, out-of-range pending bits and sites, negative totals and
+// per-procedure maps that name an unknown procedure or hold a negative
+// value are all rejected before any oracle traffic happens.
 func TestCheckpointValidation(t *testing.T) {
 	fresh, _ := checkpointFixture(t, 8)
 	white, spec, orc := fresh()
@@ -259,6 +269,58 @@ func TestCheckpointValidation(t *testing.T) {
 			}
 		}
 	})
+	rejects := func(t *testing.T, cases []struct {
+		name   string
+		mutate func(*Checkpoint)
+	}) {
+		t.Helper()
+		for _, c := range cases {
+			if _, err := Resume(white, spec, orc, DefaultConfig(), corrupt(t, c.mutate)); err == nil {
+				t.Errorf("%s not rejected", c.name)
+			}
+		}
+	}
+	const kbi = metrics.ProcKeyBitInference
+	t.Run("negative_totals", func(t *testing.T) {
+		rejects(t, []struct {
+			name   string
+			mutate func(*Checkpoint)
+		}{
+			{"queries", func(c *Checkpoint) { c.Queries = -1 }},
+			{"rounds", func(c *Checkpoint) { c.Rounds = -1 }},
+			{"wall_ns", func(c *Checkpoint) { c.WallNS = -1 }},
+			{"sim_ns", func(c *Checkpoint) { c.SimNS = -1 }},
+			{"degraded", func(c *Checkpoint) { c.Degraded = -1 }},
+			{"bisect_rounds", func(c *Checkpoint) { c.BisectRounds = -1 }},
+			{"bisect_probes", func(c *Checkpoint) { c.BisectProbes = -1 }},
+		})
+	})
+	t.Run("proc_maps", func(t *testing.T) {
+		if _, ran := ck.ProcNS[kbi]; !ran {
+			t.Fatalf("fixture checkpoint never ran %s: %v", kbi, ck.ProcNS)
+		}
+		rejects(t, []struct {
+			name   string
+			mutate func(*Checkpoint)
+		}{
+			{"unknown proc_queries key with a negative count", func(c *Checkpoint) {
+				c.ProcQueries = map[metrics.Procedure]int64{"bogus": 5, kbi: -1000}
+			}},
+			{"unknown proc_queries key", func(c *Checkpoint) { c.ProcQueries["bogus"] = 5 }},
+			{"unknown proc_ns key", func(c *Checkpoint) { c.ProcNS["bogus"] = 5 }},
+			{"unknown proc_rounds key", func(c *Checkpoint) { c.ProcRounds["bogus"] = 5 }},
+			{"unknown proc_sim_ns key", func(c *Checkpoint) {
+				c.ProcSimNS = map[metrics.Procedure]time.Duration{"bogus": 5}
+			}},
+			{"negative proc_ns", func(c *Checkpoint) { c.ProcNS[kbi] = -1 }},
+			{"negative proc_queries", func(c *Checkpoint) { c.ProcQueries[kbi] = -1 }},
+			{"negative proc_rounds", func(c *Checkpoint) { c.ProcRounds[kbi] = -1 }},
+			{"negative proc_sim_ns", func(c *Checkpoint) {
+				c.ProcSimNS = map[metrics.Procedure]time.Duration{kbi: -1}
+			}},
+			{"proc_queries for a procedure that never ran", func(c *Checkpoint) { delete(c.ProcNS, kbi) }},
+		})
+	})
 }
 
 // TestCountedSourceSkip pins the RNG fast-forward identity the checkpoint
@@ -328,6 +390,9 @@ func FuzzUnmarshalCheckpoint(f *testing.F) {
 		func(c *Checkpoint) { c.PendingBits = []int{spec.NumBits()} },
 		func(c *Checkpoint) { c.PendingSites = []int{-3} },
 		func(c *Checkpoint) { c.PendingSites = []int{99} },
+		func(c *Checkpoint) {
+			c.ProcQueries = map[metrics.Procedure]int64{"bogus": 5, metrics.ProcKeyBitInference: -1000}
+		},
 	} {
 		ck := *real[0]
 		mutate(&ck)

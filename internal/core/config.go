@@ -126,11 +126,11 @@ type Config struct {
 	// DisableAlgebraic turns key_bit_inference off entirely (ablation).
 	DisableAlgebraic bool
 
-	// Tracer records the attack as a tree of spans (see internal/obs). Nil
-	// selects the no-op default: phase spans are still timed — they are how
-	// Result.Breakdown is populated — but nothing is exported and no
-	// probe-level spans exist. Tracing never touches the attack's numerics
-	// or random streams, so traced and untraced runs are bit-identical.
+	// Tracer records the attack as a tree of spans (see internal/obs). Nil,
+	// or a tracer without a sink, records nothing and creates no spans;
+	// Result.Breakdown is the attack's own ledger and is filled either way.
+	// Tracing never touches the attack's numerics or random streams, so
+	// traced and untraced runs are bit-identical.
 	Tracer *obs.Tracer
 	// TraceParent, when non-nil, parents the attack's root span (the
 	// harness uses it to group the attacks of one Table 1 cell). The span's
@@ -364,7 +364,10 @@ type Result struct {
 	// farm.Transport); zero against a direct oracle. This is the predicted
 	// cost of the attack over a real network, the metric `dnnlock farm`
 	// sweeps.
-	SimTime   time.Duration
+	SimTime time.Duration
+	// Breakdown is the run's per-procedure ledger (Figure 3): wall time,
+	// queries, rounds and simulated time per procedure, over the whole run
+	// (a resumed run's included). The three maps below are copies of it.
 	Breakdown *metrics.Breakdown
 	// QueriesByProc splits the oracle queries across the four procedures —
 	// a query-complexity companion to Figure 3.

@@ -30,9 +30,11 @@ import (
 // terminal errors — oracle.ErrBudgetExhausted, hard device faults — abort
 // the run with a returned error.
 //
-// With cfg.Tracer (or cfg.TraceParent) set, the run is recorded as a span
-// tree — attack → site → procedure, with per-probe detail under each
-// procedure — whose rollup IS the returned Breakdown; see internal/obs.
+// The returned Breakdown is the run's per-procedure ledger (Figure 3), and
+// the per-procedure maps of the Result are read from it. With cfg.Tracer
+// (or cfg.TraceParent) recording to a sink, the run is also exported as a
+// span tree — attack → site → procedure, with per-probe detail under each
+// procedure; see internal/obs.
 //
 // With cfg.OnCheckpoint set, the run offers a serializable Checkpoint at
 // every site boundary; returning false from the hook suspends the run
@@ -52,19 +54,19 @@ type sitePending struct {
 }
 
 // runFrom executes the site loop from base (the zero value for a fresh run,
-// a restored checkpoint's totals for a resumed one). All Result scalars and
-// per-procedure maps report prior + segment, so a resumed run's Result is
-// indistinguishable from an uninterrupted one — except Result.Breakdown and
-// the exported trace, which cover only the post-resume segment (they anchor
-// the new segment's span tree, and `dnnlock trace -check` requires summary
-// == rollup exactly).
+// a restored checkpoint's totals for a resumed one). All Result scalars
+// report prior + segment, and restore seeded the ledger with the prior
+// per-procedure totals, so a resumed run's Result covers the whole run like
+// an uninterrupted one. The exported trace covers only the post-resume
+// segment: it anchors the new segment's span tree.
 func (a *Attack) runFrom(base resumeBase) (*Result, error) {
 	//lint:ignore determinism telemetry timer for Result.Time; the value never feeds the numerics
 	start := time.Now()
 	startQ := a.orc.Queries()
 	startR := a.orc.Rounds()
 	startS := simElapsed(a.orc)
-	root := a.startRoot("attack", obs.Int("bits", a.spec.NumBits()))
+	root := startRoot(a.cfg, "attack", obs.Int("bits", a.spec.NumBits()))
+	a.root = root
 	defer root.End() // idempotent: the success path ends it with annotations
 	src := newCountedSource(a.cfg.Seed)
 	src.skip(base.rngDraws)
@@ -97,6 +99,7 @@ func (a *Attack) runFrom(base resumeBase) (*Result, error) {
 	fsp := root.Child("final_check")
 	eq, eqErr := a.directCompare(fsp, a.white, rng)
 	fsp.End(obs.Bool("equivalent", eq))
+	ledger := a.bd.Snapshot()
 	res := &Result{
 		Key:     a.CurrentKey(),
 		Origins: append([]BitOrigin(nil), a.origins...),
@@ -106,9 +109,9 @@ func (a *Attack) runFrom(base resumeBase) (*Result, error) {
 		Time:          base.wall + time.Since(start),
 		SimTime:       base.sim + simElapsed(a.orc) - startS,
 		Breakdown:     a.bd,
-		QueriesByProc: mergeProcCounts(base.procQueries, a.bd.QueriesByProc()),
-		RoundsByProc:  mergeProcCounts(base.procRounds, a.bd.RoundsByProc()),
-		SimByProc:     mergeProcDurations(base.procSimNS, a.bd.SimByProc()),
+		QueriesByProc: ledger.Queries,
+		RoundsByProc:  ledger.Rounds,
+		SimByProc:     ledger.Sim,
 		Sites:         reports,
 		Equivalent:    eq,
 		Degraded:      int(a.degraded.Load()),

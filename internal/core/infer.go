@@ -43,7 +43,7 @@ func (b bitValue) String() string {
 // run; transient failures that outlast the retry budget degrade to ⊥
 // instead.
 func (a *Attack) keyBitInference(bitIdx int, rng *rand.Rand) (bitValue, error) {
-	bsp := a.phase.ChildDetail("bit", obs.Int("bit", bitIdx))
+	bsp := a.phase.Child("bit", obs.Int("bit", bitIdx))
 	bit, err := a.keyBitInferenceSpanned(bsp, bitIdx, rng)
 	bsp.End(obs.String("outcome", bit.String()))
 	return bit, err

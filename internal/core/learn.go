@@ -242,7 +242,7 @@ func reslice(m *tensor.Matrix, rows int) *tensor.Matrix {
 // the undecided bits and must abort the run — the learning attack is the
 // last fallback, so there is nothing left to degrade to.
 func (a *Attack) learningAttack(site int, unresolved []int, rng *rand.Rand) (map[int]float64, error) {
-	lsp := a.phase.ChildDetail("fit", obs.Int("site", site), obs.Int("bits", len(unresolved)),
+	lsp := a.phase.Child("fit", obs.Int("site", site), obs.Int("bits", len(unresolved)),
 		obs.Int("learn_queries", a.cfg.LearnQueries))
 	trainNet := a.white.CloneForKeys()
 	bySite := map[int][]int{site: unresolved}
@@ -316,17 +316,10 @@ func Monolithic(white *nn.Network, spec hpnn.LockSpec, orc oracle.Interface, cfg
 	startS := simElapsed(orc)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	// The baseline is one long learning phase: a single proc-labelled span
-	// under a root anchor, so its trace rolls up into the Breakdown exactly
-	// like the decryption attack's phases do.
-	bd := metrics.NewBreakdown()
-	var root *obs.Span
-	if p := cfg.TraceParent; p != nil {
-		root = p.Child("monolithic", obs.Int("bits", spec.NumBits()))
-	} else {
-		root = tracerFor(cfg).Start("monolithic", obs.Int("bits", spec.NumBits()))
-	}
-	root.SetBreakdown(bd)
+	// The baseline is one long learning phase: a single ledger entry and,
+	// when traced, a single proc-labelled span under its own anchor, like
+	// one phase of the decryption attack.
+	root := startRoot(cfg, "monolithic", obs.Int("bits", spec.NumBits()))
 	defer root.End()
 	ph := root.Child(string(metrics.ProcLearningAttack), obs.Proc(metrics.ProcLearningAttack))
 	// Ended explicitly on success after its counters land; the defer (End is
@@ -375,6 +368,7 @@ func Monolithic(white *nn.Network, spec hpnn.LockSpec, orc oracle.Interface, cfg
 			origins[si] = OriginLearning
 		}
 	}
+	bd := metrics.NewBreakdown()
 	rep.Result = Result{
 		Key:     key,
 		Origins: origins,
@@ -385,14 +379,16 @@ func Monolithic(white *nn.Network, spec hpnn.LockSpec, orc oracle.Interface, cfg
 		SimTime:   simElapsed(orc) - startS,
 		Breakdown: bd,
 	}
+	bd.AddPhase(metrics.ProcLearningAttack, rep.Time, rep.Queries, rep.Rounds, rep.SimTime)
 	ph.AddQueries(rep.Queries)
 	ph.AddRounds(rep.Rounds)
 	ph.AddSimNS(int64(rep.SimTime))
 	ph.End()
 	root.End(obs.Int("epochs", rep.Epochs), obs.Int64("queries", rep.Queries),
 		obs.Int64("rounds", rep.Rounds))
-	rep.QueriesByProc = bd.QueriesByProc()
-	rep.RoundsByProc = bd.RoundsByProc()
-	rep.SimByProc = bd.SimByProc()
+	ledger := bd.Snapshot()
+	rep.QueriesByProc = ledger.Queries
+	rep.RoundsByProc = ledger.Rounds
+	rep.SimByProc = ledger.Sim
 	return rep, nil
 }

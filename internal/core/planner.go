@@ -51,7 +51,7 @@ func (s *critStats) count() {
 // propagate out of Run. sp, when non-nil, is the caller's detail span: it
 // counts every attempt and retry (it never receives the phase span itself —
 // phase query counts come from the oracle-counter delta in trackProc, and
-// double counting there would corrupt the Figure 3 rollup).
+// double counting there would inflate the trace's Figure 3 table).
 func (a *Attack) query(sp *obs.Span, x []float64) ([]float64, error) {
 	return queryRetry(a.orc, x, a.cfg.QueryRetries, sp)
 }

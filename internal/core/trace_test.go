@@ -70,8 +70,8 @@ func TestTracedRunBitIdentical(t *testing.T) {
 		}
 	}
 
-	// The traced run must have produced a well-formed trace whose rollup
-	// agrees with the breakdown summary it carries.
+	// The traced run must have produced a well-formed trace whose phases
+	// cover its anchor.
 	tr, err := obs.ReadTrace(bytes.NewReader(out))
 	if err != nil {
 		t.Fatalf("reading trace: %v", err)

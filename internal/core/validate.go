@@ -104,7 +104,7 @@ func (a *Attack) keyVectorValidation(net *nn.Network, groupSites []int, rng *ran
 	reluSite, mode := a.validationProbe(groupSites)
 	switch mode {
 	case modeDirect:
-		dsp := a.phase.ChildDetail("direct_compare")
+		dsp := a.phase.Child("direct_compare")
 		eq, err := a.directCompare(dsp, net, rng)
 		dsp.End(obs.Bool("equivalent", eq))
 		return eq, err
@@ -120,7 +120,7 @@ func (a *Attack) keyVectorValidation(net *nn.Network, groupSites []int, rng *ran
 	neurons := rng.Perm(n)[:sample]
 	d := a.cfg.probeStep(a.cfg.ValidationDelta)
 
-	vsp := a.phase.ChildDetail("votes", obs.Int("relu", reluSite), obs.Int("neurons", sample))
+	vsp := a.phase.Child("votes", obs.Int("relu", reluSite), obs.Int("neurons", sample))
 	plans := make([]votePlan, len(neurons))
 	seedBase := rng.Int63()
 	a.parallelFor(len(plans), seedBase, func(i int, wrng *rand.Rand) {

@@ -43,8 +43,9 @@ func (a *Attack) runVariant() (*Result, error) {
 	startQ := a.orc.Queries()
 	startR := a.orc.Rounds()
 	startS := simElapsed(a.orc)
-	root := a.startRoot("attack_variant", obs.Int("bits", a.spec.NumBits()),
+	root := startRoot(a.cfg, "attack_variant", obs.Int("bits", a.spec.NumBits()),
 		obs.Int("scheme", int(a.spec.Scheme)))
+	a.root = root
 	defer root.End() // idempotent: the success path ends it with annotations
 	rng := rand.New(rand.NewSource(a.cfg.Seed))
 	bySite := a.spec.SiteBits()
@@ -62,6 +63,7 @@ func (a *Attack) runVariant() (*Result, error) {
 	fsp := root.Child("final_check")
 	eq, eqErr := a.directCompare(fsp, a.white, rng)
 	fsp.End(obs.Bool("equivalent", eq))
+	ledger := a.bd.Snapshot()
 	res := &Result{
 		Key:     a.CurrentKey(),
 		Origins: append([]BitOrigin(nil), a.origins...),
@@ -71,9 +73,9 @@ func (a *Attack) runVariant() (*Result, error) {
 		Time:          time.Since(start),
 		SimTime:       simElapsed(a.orc) - startS,
 		Breakdown:     a.bd,
-		QueriesByProc: a.bd.QueriesByProc(),
-		RoundsByProc:  a.bd.RoundsByProc(),
-		SimByProc:     a.bd.SimByProc(),
+		QueriesByProc: ledger.Queries,
+		RoundsByProc:  ledger.Rounds,
+		SimByProc:     ledger.Sim,
 		Sites:         reports,
 		Equivalent:    eq,
 		Degraded:      int(a.degraded.Load()),
@@ -181,7 +183,7 @@ func (a *Attack) runVariantSite(root *obs.Span, site int, bits []int, pending *s
 // a kink. Persistent transient oracle failures degrade the bit to ⊥ (the
 // validation/correction loop repairs it); terminal errors propagate.
 func (a *Attack) hypothesisTestBit(specIdx int, rng *rand.Rand) (bitValue, error) {
-	bsp := a.phase.ChildDetail("bit", obs.Int("bit", specIdx))
+	bsp := a.phase.Child("bit", obs.Int("bit", specIdx))
 	var bit bitValue
 	var err error
 	if a.ownHyperplaneMoves() {

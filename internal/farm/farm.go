@@ -43,8 +43,8 @@ type Config struct {
 	// Overhead is the per-message framing cost in bytes (0 → 64).
 	Overhead int
 	// Span, when non-nil, receives one point event per round — device,
-	// rows, simulated send/receive times, loss — gated on the span's
-	// tracer being in Detailed mode, so undetailed runs pay nothing.
+	// rows, simulated send/receive times, loss. Only a tracer with a sink
+	// creates spans, so untraced runs pay nothing.
 	Span *obs.Span
 }
 
@@ -158,7 +158,7 @@ func (t *Transport) dispatch(rows int, h uint64) (dev *Device, recvAt Time, lost
 	if recvAt > t.horizon {
 		t.horizon = recvAt
 	}
-	if sp := t.cfg.Span; sp != nil && sp.Tracer().Detailed() {
+	if sp := t.cfg.Span; sp != nil {
 		sp.Event("farm_round",
 			obs.Int("device", dev.ID), obs.String("class", p.Class),
 			obs.Int("rows", rows), obs.Bool("lost", lost),

@@ -6,13 +6,13 @@ import (
 )
 
 // SpanPair enforces the span lifecycle contract (DESIGN.md §15): every
-// span opened through obs — Tracer.Start, Span.Child, Span.ChildDetail,
-// and core's startRoot wrapper — must reach End on every path out of the
-// opening function, or explicitly leave it (returned, stored into a
-// longer-lived structure, sent on a channel). An unended span never
-// exports its record, silently truncates the trace tree, and — for
-// proc-labelled phase spans — drops its duration and query count from the
-// Figure 3 breakdown, so `dnnlock trace -check` fails on rollup mismatch.
+// span opened through obs — Tracer.Start, Span.Child, and core's startRoot
+// wrapper — must reach End on every path out of the opening function, or
+// explicitly leave it (returned, stored into a longer-lived structure, sent
+// on a channel). An unended span never exports its record, silently
+// truncates the trace tree, and — for proc-labelled phase spans — drops its
+// duration and query count from the Figure 3 table `dnnlock trace` rolls up
+// for its anchor.
 //
 // The analysis mirrors poolpair on the shared CFG: opening a span
 // generates an obligation, sp.End(...) discharges it, a deferred End
@@ -30,7 +30,7 @@ var SpanPair = &Analyzer{
 
 // spanSources maps span-opening functions (package path -> names).
 var spanSources = map[string]map[string]bool{
-	"dnnlock/internal/obs":  {"Start": true, "Child": true, "ChildDetail": true},
+	"dnnlock/internal/obs":  {"Start": true, "Child": true},
 	"dnnlock/internal/core": {"startRoot": true},
 }
 

@@ -93,15 +93,6 @@ func aliased(tr *obs.Tracer) {
 	s2.End()
 }
 
-// ChildDetail follows the same contract.
-func detail(sp *obs.Span, cond bool) {
-	d := sp.ChildDetail("probe")
-	if cond {
-		return // want `span from obs.ChildDetail \(line \d+\) is not ended on this return path`
-	}
-	d.End()
-}
-
 // Passing the span to a helper does NOT discharge: helpers decorate spans,
 // they do not adopt them.
 func argPassed(tr *obs.Tracer, annotate func(*obs.Span)) {

@@ -14,8 +14,6 @@ type Span struct{}
 
 func (s *Span) Child(name string, attrs ...Attr) *Span { return &Span{} }
 
-func (s *Span) ChildDetail(name string, attrs ...Attr) *Span { return &Span{} }
-
 func (s *Span) End(attrs ...Attr) {}
 
 func (s *Span) Event(name string, attrs ...Attr) {}

@@ -1,7 +1,8 @@
 // Package metrics implements the paper's four evaluation metrics (§4.2):
 // accuracy and fidelity live with their data (train.Evaluate, hpnn.Key
-// .Fidelity); this package adds query accounting helpers and the
-// per-procedure runtime breakdown behind Figure 3.
+// .Fidelity); this package adds the per-procedure ledger behind Figure 3,
+// the one place an attack records where its time, queries, round-trips and
+// simulated channel time went.
 package metrics
 
 import (
@@ -31,10 +32,14 @@ var AllProcedures = []Procedure{
 	ProcErrorCorrection,
 }
 
-// Breakdown accumulates wall time and oracle queries per procedure. Safe
-// for concurrent use: every reader goes through one lock acquisition
-// (Snapshot), so shares and totals stay mutually consistent while other
-// goroutines — including a tracer rolling up spans — keep accumulating.
+// Breakdown is an attack's per-procedure ledger: the wall time, oracle
+// queries, round-trips and simulated channel time of every procedure that
+// ran. The attack adds each phase with AddPhase as the phase ends, and a
+// resumed attack seeds it with the checkpointed totals the same way, so it
+// always covers the whole run. Result's per-procedure maps, the next
+// checkpoint and Figure 3 are all read from it. Safe for concurrent use:
+// every reader goes through one lock acquisition (Snapshot), so shares and
+// totals stay mutually consistent while a phase is being added.
 type Breakdown struct {
 	mu      sync.Mutex
 	times   map[Procedure]time.Duration
@@ -53,99 +58,28 @@ func NewBreakdown() *Breakdown {
 	}
 }
 
-// Add accumulates d under proc.
-func (b *Breakdown) Add(proc Procedure, d time.Duration) {
+// AddPhase records one phase of proc: its wall time and the oracle queries,
+// round-trips (Query/QueryBatch calls, the latency-side companion of the
+// per-row query count) and simulated channel time it consumed. Only runs
+// against a farm-simulated transport (internal/farm) spend simulated time;
+// a phase that spent none leaves proc out of the simulated-time map, so
+// Snapshot.Sim names only the procedures that used the simulated channel.
+func (b *Breakdown) AddPhase(proc Procedure, wall time.Duration, queries, rounds int64, sim time.Duration) {
 	b.mu.Lock()
-	b.times[proc] += d
-	b.mu.Unlock()
-}
-
-// AddQueries accumulates n oracle queries under proc, the query-complexity
-// companion to Add.
-func (b *Breakdown) AddQueries(proc Procedure, n int64) {
-	b.mu.Lock()
-	b.queries[proc] += n
-	b.mu.Unlock()
-}
-
-// AddRounds accumulates n oracle round-trips under proc. Rounds count
-// Query/QueryBatch calls rather than rows, so they are the latency-side
-// companion to AddQueries' per-inference accounting.
-func (b *Breakdown) AddRounds(proc Procedure, n int64) {
-	b.mu.Lock()
-	b.rounds[proc] += n
-	b.mu.Unlock()
-}
-
-// AddSim accumulates d of simulated channel time under proc. Runs against a
-// farm-simulated transport (internal/farm) attribute the virtual clock's
-// advance to procedures the same way Add attributes real wall time; runs
-// against a direct oracle never call this and the sim maps stay empty.
-func (b *Breakdown) AddSim(proc Procedure, d time.Duration) {
-	b.mu.Lock()
-	b.sim[proc] += d
-	b.mu.Unlock()
-}
-
-// Sim returns the simulated channel time accumulated under proc.
-func (b *Breakdown) Sim(proc Procedure) time.Duration {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.sim[proc]
-}
-
-// SimByProc returns a copy of the per-procedure simulated channel times.
-func (b *Breakdown) SimByProc() map[Procedure]time.Duration {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make(map[Procedure]time.Duration, len(b.sim))
-	for p, d := range b.sim {
-		out[p] = d
+	b.times[proc] += wall
+	b.queries[proc] += queries
+	b.rounds[proc] += rounds
+	if sim != 0 {
+		b.sim[proc] += sim
 	}
-	return out
+	b.mu.Unlock()
 }
 
-// Queries returns the oracle queries accumulated under proc.
-func (b *Breakdown) Queries(proc Procedure) int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.queries[proc]
-}
-
-// QueriesByProc returns a copy of the per-procedure query counts.
-func (b *Breakdown) QueriesByProc() map[Procedure]int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make(map[Procedure]int64, len(b.queries))
-	for p, n := range b.queries {
-		out[p] = n
-	}
-	return out
-}
-
-// Rounds returns the oracle round-trips accumulated under proc.
-func (b *Breakdown) Rounds(proc Procedure) int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.rounds[proc]
-}
-
-// RoundsByProc returns a copy of the per-procedure round-trip counts.
-func (b *Breakdown) RoundsByProc() map[Procedure]int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make(map[Procedure]int64, len(b.rounds))
-	for p, n := range b.rounds {
-		out[p] = n
-	}
-	return out
-}
-
-// Track runs f and accumulates its wall time under proc.
+// Track runs f and records it as one phase of proc that used no oracle.
 func (b *Breakdown) Track(proc Procedure, f func()) {
 	start := time.Now()
 	f()
-	b.Add(proc, time.Since(start))
+	b.AddPhase(proc, time.Since(start), 0, 0, 0)
 }
 
 // Get returns the accumulated time of proc.
@@ -157,34 +91,25 @@ func (b *Breakdown) Get(proc Procedure) time.Duration {
 
 // Total returns the sum over all procedures.
 func (b *Breakdown) Total() time.Duration {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	var t time.Duration
-	for _, d := range b.times {
-		t += d
-	}
-	return t
+	return b.Snapshot().Total
 }
 
-// Snapshot is a self-consistent copy of a breakdown: times, query counts,
-// round counts, and their totals all observed under one lock acquisition.
+// Snapshot is a self-consistent copy of a breakdown: the four
+// per-procedure maps and the total time, all observed under one lock
+// acquisition. Every procedure that ran has an entry in Times, Queries and
+// Rounds (zero if it used no oracle); Sim holds only nonzero entries.
 type Snapshot struct {
 	Times   map[Procedure]time.Duration
 	Queries map[Procedure]int64
 	Rounds  map[Procedure]int64
 	Sim     map[Procedure]time.Duration
 	Total   time.Duration
-	TotalQ  int64
-	TotalR  int64
-	TotalS  time.Duration
 }
 
-// Snapshot copies the accumulated times, query counts, and round counts
-// under one lock acquisition. Every rendering path (String, Percentages,
-// the trace summary) derives from a Snapshot, so concurrent Add/AddQueries
-// calls — e.g. a tracer rolling spans up while the harness prints a
-// progress line — can never produce a torn view (shares above 100, queries
-// without times).
+// Snapshot copies the ledger under one lock acquisition. Every reader
+// (Result's per-procedure maps, the checkpoint, String, Percentages)
+// derives from a Snapshot, so a phase added concurrently can never produce
+// a torn view (shares above 100, queries without times).
 func (b *Breakdown) Snapshot() Snapshot {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -200,15 +125,12 @@ func (b *Breakdown) Snapshot() Snapshot {
 	}
 	for p, n := range b.queries {
 		s.Queries[p] = n
-		s.TotalQ += n
 	}
 	for p, n := range b.rounds {
 		s.Rounds[p] = n
-		s.TotalR += n
 	}
 	for p, d := range b.sim {
 		s.Sim[p] = d
-		s.TotalS += d
 	}
 	return s
 }
@@ -223,22 +145,6 @@ func (s Snapshot) Procedures() []Procedure {
 			extra = append(extra, string(p))
 		}
 	}
-	for p := range s.Queries {
-		if !isStandard(p) {
-			if _, dup := s.Times[Procedure(p)]; !dup {
-				extra = append(extra, string(p))
-			}
-		}
-	}
-	for p := range s.Rounds {
-		if !isStandard(p) {
-			_, inTimes := s.Times[Procedure(p)]
-			_, inQueries := s.Queries[Procedure(p)]
-			if !inTimes && !inQueries {
-				extra = append(extra, string(p))
-			}
-		}
-	}
 	sort.Strings(extra)
 	for _, p := range extra {
 		out = append(out, Procedure(p))
@@ -248,40 +154,28 @@ func (s Snapshot) Procedures() []Procedure {
 
 // Percent returns proc's share of the snapshot's total in [0, 100].
 func (s Snapshot) Percent(proc Procedure) float64 {
-	return share(s.Times[proc], s.Total)
-}
-
-// snapshot is the historical internal accessor, kept for the read paths
-// that only need times.
-func (b *Breakdown) snapshot() (map[Procedure]time.Duration, time.Duration) {
-	s := b.Snapshot()
-	return s.Times, s.Total
-}
-
-func share(d, total time.Duration) float64 {
-	if total == 0 {
+	if s.Total == 0 {
 		return 0
 	}
-	return 100 * float64(d) / float64(total)
+	return 100 * float64(s.Times[proc]) / float64(s.Total)
 }
 
 // Percent returns proc's share of the total in [0, 100].
 func (b *Breakdown) Percent(proc Procedure) float64 {
-	times, total := b.snapshot()
-	return share(times[proc], total)
+	return b.Snapshot().Percent(proc)
 }
 
 // Percentages returns the share per procedure: every Figure 3 procedure
 // (zero if never tracked) plus any nonstandard ones that accumulated time.
 // All shares come from one snapshot, so they sum to 100 (or all zero).
 func (b *Breakdown) Percentages() map[Procedure]float64 {
-	times, total := b.snapshot()
-	out := make(map[Procedure]float64, len(AllProcedures)+len(times))
+	s := b.Snapshot()
+	out := make(map[Procedure]float64, len(AllProcedures)+len(s.Times))
 	for _, p := range AllProcedures {
 		out[p] = 0
 	}
-	for p, d := range times {
-		out[p] = share(d, total)
+	for p := range s.Times {
+		out[p] = s.Percent(p)
 	}
 	return out
 }

@@ -10,8 +10,8 @@ import (
 
 func TestBreakdownAddAndPercent(t *testing.T) {
 	b := NewBreakdown()
-	b.Add(ProcKeyBitInference, 300*time.Millisecond)
-	b.Add(ProcLearningAttack, 700*time.Millisecond)
+	b.AddPhase(ProcKeyBitInference, 300*time.Millisecond, 0, 0, 0)
+	b.AddPhase(ProcLearningAttack, 700*time.Millisecond, 0, 0, 0)
 	if b.Total() != time.Second {
 		t.Fatalf("Total = %v", b.Total())
 	}
@@ -47,7 +47,7 @@ func TestBreakdownConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				b.Add(ProcKeyVectorValidation, time.Microsecond)
+				b.AddPhase(ProcKeyVectorValidation, time.Microsecond, 1, 1, 0)
 			}
 		}()
 	}
@@ -59,8 +59,8 @@ func TestBreakdownConcurrent(t *testing.T) {
 
 func TestBreakdownString(t *testing.T) {
 	b := NewBreakdown()
-	b.Add(ProcKeyBitInference, time.Second)
-	b.Add(Procedure("custom"), time.Second)
+	b.AddPhase(ProcKeyBitInference, time.Second, 0, 0, 0)
+	b.AddPhase(Procedure("custom"), time.Second, 0, 0, 0)
 	s := b.String()
 	if !strings.Contains(s, "key_bit_inference") || !strings.Contains(s, "custom") {
 		t.Fatalf("String = %q", s)
@@ -74,8 +74,8 @@ func TestBreakdownString(t *testing.T) {
 
 func TestPercentagesIncludeExtras(t *testing.T) {
 	b := NewBreakdown()
-	b.Add(ProcKeyBitInference, 250*time.Millisecond)
-	b.Add(Procedure("custom"), 750*time.Millisecond)
+	b.AddPhase(ProcKeyBitInference, 250*time.Millisecond, 0, 0, 0)
+	b.AddPhase(Procedure("custom"), 750*time.Millisecond, 0, 0, 0)
 	p := b.Percentages()
 	if math.Abs(p[Procedure("custom")]-75) > 1e-9 {
 		t.Fatalf("extra procedure share = %v", p[Procedure("custom")])
@@ -89,33 +89,40 @@ func TestPercentagesIncludeExtras(t *testing.T) {
 	}
 }
 
+// TestBreakdownQueries pins AddPhase's ledger: queries and rounds add up
+// per procedure, every procedure that ran has a query and a round entry
+// (zero included), and only phases that spent simulated time enter Sim.
 func TestBreakdownQueries(t *testing.T) {
 	b := NewBreakdown()
-	b.AddQueries(ProcKeyBitInference, 40)
-	b.AddQueries(ProcKeyBitInference, 2)
-	b.AddQueries(ProcLearningAttack, 100)
-	if b.Queries(ProcKeyBitInference) != 42 {
-		t.Fatalf("Queries = %d", b.Queries(ProcKeyBitInference))
-	}
-	q := b.QueriesByProc()
-	if q[ProcLearningAttack] != 100 || len(q) != 2 {
-		t.Fatalf("QueriesByProc = %v", q)
-	}
+	b.AddPhase(ProcKeyBitInference, time.Millisecond, 40, 4, 0)
+	b.AddPhase(ProcKeyBitInference, time.Millisecond, 2, 1, 3*time.Millisecond)
+	b.AddPhase(ProcLearningAttack, time.Millisecond, 100, 1, 0)
+	b.AddPhase(ProcErrorCorrection, time.Millisecond, 0, 0, 0)
 	s := b.Snapshot()
-	if s.TotalQ != 142 {
-		t.Fatalf("TotalQ = %d", s.TotalQ)
+	if s.Queries[ProcKeyBitInference] != 42 || s.Rounds[ProcKeyBitInference] != 5 {
+		t.Fatalf("key_bit_inference queries/rounds = %d/%d, want 42/5",
+			s.Queries[ProcKeyBitInference], s.Rounds[ProcKeyBitInference])
+	}
+	if s.Queries[ProcLearningAttack] != 100 || len(s.Queries) != 3 || len(s.Rounds) != 3 {
+		t.Fatalf("Queries = %v, Rounds = %v", s.Queries, s.Rounds)
+	}
+	if len(s.Sim) != 1 || s.Sim[ProcKeyBitInference] != 3*time.Millisecond {
+		t.Fatalf("Sim = %v, want only key_bit_inference at 3ms", s.Sim)
+	}
+	if s.Total != 4*time.Millisecond {
+		t.Fatalf("Total = %v", s.Total)
 	}
 }
 
 // TestSnapshotProceduresDeterministic pins the render order: the four
 // Figure 3 procedures first, then extras sorted by name — including extras
-// that only accumulated queries, never time.
+// whose phases took no measurable time.
 func TestSnapshotProceduresDeterministic(t *testing.T) {
 	b := NewBreakdown()
-	b.Add(Procedure("zeta"), time.Millisecond)
-	b.Add(Procedure("alpha"), time.Millisecond)
-	b.AddQueries(Procedure("mid"), 7)
-	b.Add(ProcErrorCorrection, time.Millisecond)
+	b.AddPhase(Procedure("zeta"), time.Millisecond, 0, 0, 0)
+	b.AddPhase(Procedure("alpha"), time.Millisecond, 0, 0, 0)
+	b.AddPhase(Procedure("mid"), 0, 7, 1, 0)
+	b.AddPhase(ProcErrorCorrection, time.Millisecond, 0, 0, 0)
 	got := b.Snapshot().Procedures()
 	want := append(append([]Procedure{}, AllProcedures...), "alpha", "mid", "zeta")
 	if len(got) != len(want) {
@@ -146,8 +153,7 @@ func TestStringConsistentUnderConcurrentAdds(t *testing.T) {
 				case <-done:
 					return
 				default:
-					b.Add(proc, time.Microsecond)
-					b.AddQueries(proc, 3)
+					b.AddPhase(proc, time.Microsecond, 3, 1, 0)
 				}
 			}
 		}(i)
@@ -179,7 +185,7 @@ func TestStringConsistentUnderConcurrentAdds(t *testing.T) {
 // past 100.
 func TestPercentConsistentUnderConcurrentAdds(t *testing.T) {
 	b := NewBreakdown()
-	b.Add(ProcKeyBitInference, time.Microsecond)
+	b.AddPhase(ProcKeyBitInference, time.Microsecond, 0, 0, 0)
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
@@ -192,7 +198,7 @@ func TestPercentConsistentUnderConcurrentAdds(t *testing.T) {
 				case <-done:
 					return
 				default:
-					b.Add(proc, time.Microsecond)
+					b.AddPhase(proc, time.Microsecond, 0, 0, 0)
 				}
 			}
 		}(i)

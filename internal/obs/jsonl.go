@@ -8,13 +8,11 @@ import (
 	"time"
 )
 
-// The JSONL trace format: one self-describing record per line. Span records
-// stream out as spans end (children before parents, interleaved across
-// goroutines); readers reconstruct the tree from the id/parent fields.
-// Every span that anchors a metrics.Breakdown additionally emits a summary
-// record when it ends — the Breakdown's snapshot at that instant — so a
-// trace file carries both the raw spans and the Figure 3 rollup they
-// project onto, and `dnnlock trace -check` can verify the two agree.
+// The JSONL trace format: one self-describing record per line, all of type
+// "span". Span records stream out as spans end (children before parents,
+// interleaved across goroutines); readers reconstruct the tree from the
+// id/parent fields. An attack's root span carries "anchor":true, and its
+// Figure 3 breakdown is the rollup of the proc-labelled spans beneath it.
 
 // SpanRecord is the exported form of one completed span.
 type SpanRecord struct {
@@ -29,6 +27,7 @@ type SpanRecord struct {
 	Retries int64          `json:"retries,omitempty"`
 	SimNS   int64          `json:"sim_ns,omitempty"` // simulated channel time (farm runs)
 	Proc    string         `json:"proc,omitempty"`
+	Anchor  bool           `json:"anchor,omitempty"` // root of one attack (see Trace.Anchors)
 	Attrs   map[string]any `json:"attrs,omitempty"`
 	Events  []EventRecord  `json:"events,omitempty"`
 }
@@ -38,20 +37,6 @@ type EventRecord struct {
 	Name  string         `json:"name"`
 	AtNS  int64          `json:"at_ns"`
 	Attrs map[string]any `json:"attrs,omitempty"`
-}
-
-// SummaryRecord is the Breakdown snapshot emitted when a rollup-anchoring
-// span ends: the per-procedure times, query counts, and round counts
-// Figure 3 renders.
-type SummaryRecord struct {
-	Type    string           `json:"type"` // "summary"
-	Span    uint64           `json:"span"` // the anchoring span's id
-	Name    string           `json:"name"`
-	TimesNS map[string]int64 `json:"times_ns"`
-	Queries map[string]int64 `json:"queries"`
-	Rounds  map[string]int64 `json:"rounds,omitempty"`
-	SimNS   map[string]int64 `json:"sim_ns,omitempty"` // simulated channel time (farm runs)
-	TotalNS int64            `json:"total_ns"`
 }
 
 // attrMap folds creation-time and late attributes into one JSON map,
@@ -76,13 +61,9 @@ func attrMap(attrs, late []Attr) map[string]any {
 	return m
 }
 
-// export serializes a completed span (and, for rollup anchors, the summary)
-// to the sink. events and late are End's under-lock snapshots of the span's
-// mutable slices. No-op without a sink.
+// export serializes a completed span to the sink. events and late are End's
+// under-lock snapshots of the span's mutable slices.
 func (t *Tracer) export(s *Span, dur time.Duration, events []Event, late []Attr) {
-	if t.sink == nil {
-		return
-	}
 	rec := SpanRecord{
 		Type:    "span",
 		ID:      s.id,
@@ -94,6 +75,7 @@ func (t *Tracer) export(s *Span, dur time.Duration, events []Event, late []Attr)
 		Retries: s.retries.Load(),
 		SimNS:   s.simNS.Load(),
 		Proc:    string(s.proc),
+		Anchor:  s.anchor,
 		Attrs:   attrMap(s.attrs, late),
 	}
 	if s.parent != nil {
@@ -106,65 +88,27 @@ func (t *Tracer) export(s *Span, dur time.Duration, events []Event, late []Attr)
 			Attrs: attrMap(ev.Attrs, nil),
 		})
 	}
-	var sum *SummaryRecord
-	if s.bd != nil {
-		snap := s.bd.Snapshot()
-		sum = &SummaryRecord{
-			Type:    "summary",
-			Span:    s.id,
-			Name:    s.name,
-			TimesNS: make(map[string]int64, len(snap.Times)),
-			Queries: make(map[string]int64, len(snap.Queries)),
-			Rounds:  make(map[string]int64, len(snap.Rounds)),
-			TotalNS: snap.Total.Nanoseconds(),
-		}
-		for p, d := range snap.Times {
-			sum.TimesNS[string(p)] = d.Nanoseconds()
-		}
-		for p, n := range snap.Queries {
-			sum.Queries[string(p)] = n
-		}
-		for p, n := range snap.Rounds {
-			sum.Rounds[string(p)] = n
-		}
-		if len(snap.Sim) > 0 {
-			sum.SimNS = make(map[string]int64, len(snap.Sim))
-			for p, d := range snap.Sim {
-				sum.SimNS[string(p)] = d.Nanoseconds()
-			}
-		}
-	}
+	b, err := json.Marshal(rec)
 
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.err != nil {
 		return
 	}
-	t.err = writeRecord(t.sink, rec)
-	if t.err == nil && sum != nil {
-		t.err = writeRecord(t.sink, sum)
+	if err == nil {
+		_, err = t.sink.Write(append(b, '\n'))
 	}
-}
-
-func writeRecord(w io.Writer, rec any) error {
-	b, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	b = append(b, '\n')
-	_, err = w.Write(b)
-	return err
+	t.err = err
 }
 
 // Trace is a parsed JSONL trace file.
 type Trace struct {
-	Spans     []SpanRecord
-	Summaries []SummaryRecord
+	Spans []SpanRecord
 }
 
-// ReadTrace parses a JSONL trace. Unknown record types are skipped so the
-// format can grow; malformed lines are errors, and so is a span tree the
-// renderers cannot walk (see checkSpanTree).
+// ReadTrace parses a JSONL trace. Records of any type but "span" are
+// skipped so the format can grow; malformed lines are errors, and so is a
+// span tree the renderers cannot walk (see checkSpanTree).
 func ReadTrace(r io.Reader) (*Trace, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -182,20 +126,14 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 		if err := json.Unmarshal(raw, &head); err != nil {
 			return nil, fmt.Errorf("obs: trace line %d: %w", line, err)
 		}
-		switch head.Type {
-		case "span":
-			var s SpanRecord
-			if err := json.Unmarshal(raw, &s); err != nil {
-				return nil, fmt.Errorf("obs: trace line %d: %w", line, err)
-			}
-			tr.Spans = append(tr.Spans, s)
-		case "summary":
-			var s SummaryRecord
-			if err := json.Unmarshal(raw, &s); err != nil {
-				return nil, fmt.Errorf("obs: trace line %d: %w", line, err)
-			}
-			tr.Summaries = append(tr.Summaries, s)
+		if head.Type != "span" {
+			continue
 		}
+		var s SpanRecord
+		if err := json.Unmarshal(raw, &s); err != nil {
+			return nil, fmt.Errorf("obs: trace line %d: %w", line, err)
+		}
+		tr.Spans = append(tr.Spans, s)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("obs: reading trace: %w", err)

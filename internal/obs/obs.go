@@ -7,25 +7,22 @@
 // retry counters, and point events (degradations, retries, correction
 // attempts). Spans of farm-backed runs also carry sim_ns, the simulated
 // channel time consumed under the span, so a trace prices the attack over
-// the network it modeled. Completed spans stream to an optional JSONL sink;
-// spans that carry a procedure label additionally roll up into a
-// metrics.Breakdown, so the paper's Figure 3 is a projection of the trace
-// rather than a separate set of hand-placed counters — and `dnnlock trace
-// -check` re-derives every summary (queries, rounds, proc times, sim_ns)
-// from the raw spans to prove it.
+// the network it modeled. Completed spans stream to the tracer's JSONL sink.
+// A span marked as an anchor (the root of one attack) groups the
+// proc-labelled phase spans beneath it; `dnnlock trace` renders each
+// anchor's Figure 3 table from those spans, and `-check` verifies the tree
+// and the coverage of each anchor's wall time.
 //
-// The zero-cost contract: a Tracer constructed without a sink (obs.New())
-// is the no-op default. It still maintains the handful of procedure-level
-// spans the Breakdown rollup needs — the same bookkeeping the attack always
-// did — but allocates nothing per probe: fine-grained spans are gated on
-// Detailed(), which is true only when a sink is attached. Tracing never
-// touches the attack's numerics or its random streams, so the traced and
-// untraced runs are bit-identical (pinned by TestTracedRunBitIdentical in
-// internal/core).
+// The trace is a view, not a ledger: each attack keeps its per-procedure
+// numbers in its own metrics.Breakdown, and a trace repeats them per phase
+// span only when one is recorded. A Tracer without a sink (obs.New()) — and
+// a nil Tracer — therefore creates no spans at all: Start returns nil, and
+// so does every Child of it. Tracing never touches the attack's numerics or
+// its random streams, so the traced and untraced runs are bit-identical
+// (pinned by TestTracedRunBitIdentical in internal/core).
 //
-// All Span methods are nil-safe: a nil *Span (from a nil Tracer, or from a
-// Detailed() gate that declined) accepts every call as a no-op, so call
-// sites carry no conditionals.
+// All Span methods are nil-safe: a nil *Span accepts every call as a no-op,
+// so call sites carry no conditionals.
 package obs
 
 import (
@@ -50,16 +47,14 @@ type Tracer struct {
 // Option configures a Tracer.
 type Option func(*Tracer)
 
-// WithSink streams completed spans to w as JSONL, one record per span plus
-// one summary record per breakdown-carrying span. Attaching a sink also
-// turns on Detailed(), enabling probe-level spans.
+// WithSink streams completed spans to w as JSONL, one record per span.
+// Without a sink the tracer records nothing.
 func WithSink(w io.Writer) Option {
 	return func(t *Tracer) { t.sink = w }
 }
 
-// New returns a Tracer. With no options it is the no-op default: spans are
-// timed and rolled up into any attached Breakdown, but nothing is exported
-// and Detailed() is false.
+// New returns a Tracer. With no options it is a no-op: it has nowhere to
+// export spans, so it creates none.
 func New(opts ...Option) *Tracer {
 	t := &Tracer{start: time.Now()}
 	for _, o := range opts {
@@ -68,16 +63,10 @@ func New(opts ...Option) *Tracer {
 	return t
 }
 
-// Detailed reports whether fine-grained (per-probe, per-vote) spans should
-// be created. True only when a sink is attached; the clean path keeps its
-// overhead budget by declining them.
-func (t *Tracer) Detailed() bool {
-	return t != nil && t.sink != nil
-}
-
-// Start opens a root span. A nil Tracer returns a nil (no-op) span.
+// Start opens a root span. A nil Tracer, or one without a sink, returns a
+// nil (no-op) span.
 func (t *Tracer) Start(name string, attrs ...Attr) *Span {
-	if t == nil {
+	if t == nil || t.sink == nil {
 		return nil
 	}
 	return t.newSpan(nil, name, attrs)
@@ -124,8 +113,8 @@ type Span struct {
 	name   string
 	start  time.Time
 	attrs  []Attr
-	proc   metrics.Procedure  // non-empty: End rolls duration+queries into bd
-	bd     *metrics.Breakdown // rollup target for proc-labelled descendants
+	proc   metrics.Procedure // Figure 3 procedure of a phase span, else empty
+	anchor bool              // root of one attack: renderers roll phases up to it
 
 	queries atomic.Int64
 	rounds  atomic.Int64
@@ -154,34 +143,15 @@ func (s *Span) Child(name string, attrs ...Attr) *Span {
 	return s.tr.newSpan(s, name, attrs)
 }
 
-// ChildDetail is Child gated on the tracer's Detailed() flag: it returns a
-// real span only when a sink is attached, and nil — a free no-op — on the
-// clean path. Probe- and vote-level spans use this so the default tracer
-// stays within its overhead budget.
-func (s *Span) ChildDetail(name string, attrs ...Attr) *Span {
-	if s == nil || !s.tr.Detailed() {
-		return nil
-	}
-	return s.tr.newSpan(s, name, attrs)
-}
-
-// Tracer returns the span's tracer (nil for a nil span).
-func (s *Span) Tracer() *Tracer {
-	if s == nil {
-		return nil
-	}
-	return s.tr
-}
-
-// SetBreakdown makes s the rollup anchor: when a descendant span labelled
-// with Proc(p) ends, its duration and query count are added to bd under p.
-// Ending s then emits a summary record (the Breakdown's snapshot) to the
-// sink, which `dnnlock trace -check` verifies against the span rollup.
-func (s *Span) SetBreakdown(bd *metrics.Breakdown) {
+// MarkAnchor marks s as the root of one attack: its record carries
+// "anchor":true, and the trace renderers roll the proc-labelled spans
+// beneath it up into one Figure 3 table. Call it right after opening s,
+// before s is shared with other goroutines. Nil-safe.
+func (s *Span) MarkAnchor() {
 	if s == nil {
 		return
 	}
-	s.bd = bd
+	s.anchor = true
 }
 
 // AddQueries adds n to the span's oracle-query counter. Nil-safe, atomic.
@@ -193,8 +163,7 @@ func (s *Span) AddQueries(n int64) {
 }
 
 // AddRounds adds n to the span's oracle round-trip counter. Nil-safe,
-// atomic. Together with AddQueries this makes *Span satisfy
-// oracle.Counter.
+// atomic.
 func (s *Span) AddRounds(n int64) {
 	if s == nil {
 		return
@@ -213,15 +182,6 @@ func (s *Span) AddSimNS(n int64) {
 	s.simNS.Add(n)
 }
 
-// SimNS returns the span's simulated channel time in nanoseconds (0 for
-// nil).
-func (s *Span) SimNS() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.simNS.Load()
-}
-
 // AddRetry counts one transient-failure retry. Nil-safe, atomic.
 func (s *Span) AddRetry() {
 	if s == nil {
@@ -236,14 +196,6 @@ func (s *Span) Queries() int64 {
 		return 0
 	}
 	return s.queries.Load()
-}
-
-// Rounds returns the span's oracle round-trip counter (0 for nil).
-func (s *Span) Rounds() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.rounds.Load()
 }
 
 // Event records a point annotation. Nil-safe.
@@ -268,10 +220,8 @@ func (s *Span) Annotate(attrs ...Attr) {
 	s.mu.Unlock()
 }
 
-// End closes the span: it stamps the duration, rolls a procedure-labelled
-// span up into the nearest ancestor Breakdown, and exports the record (plus
-// a summary record if s anchors a Breakdown) to the sink. End is idempotent
-// and nil-safe.
+// End closes the span: it stamps the duration and exports the record to
+// the sink. End is idempotent and nil-safe.
 func (s *Span) End(attrs ...Attr) {
 	if s == nil {
 		return
@@ -288,20 +238,6 @@ func (s *Span) End(attrs ...Attr) {
 	// and a (misused) concurrent Event must not race the sink writer.
 	events, late := s.events, s.late
 	s.mu.Unlock()
-
-	if s.proc != "" {
-		for p := s.parent; p != nil; p = p.parent {
-			if p.bd != nil {
-				p.bd.Add(s.proc, dur)
-				p.bd.AddQueries(s.proc, s.queries.Load())
-				p.bd.AddRounds(s.proc, s.rounds.Load())
-				if sim := s.simNS.Load(); sim != 0 {
-					p.bd.AddSim(s.proc, time.Duration(sim))
-				}
-				break
-			}
-		}
-	}
 	s.tr.export(s, dur, events, late)
 }
 
@@ -329,7 +265,7 @@ func Float(k string, v float64) Attr { return Attr{Key: k, Val: v} }
 // Bool makes a boolean attribute.
 func Bool(k string, v bool) Attr { return Attr{Key: k, Val: v} }
 
-// Proc labels a span as one of the Figure 3 procedures; when the span ends,
-// its duration, query count, and round count roll up into the nearest
-// ancestor span's Breakdown under this procedure.
+// Proc labels a span as one phase of one of the Figure 3 procedures; the
+// trace renderers add its duration, queries, rounds and simulated time to
+// the enclosing anchor under this procedure.
 func Proc(p metrics.Procedure) Attr { return Attr{Key: procKey, Val: string(p)} }

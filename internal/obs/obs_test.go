@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"dnnlock/internal/metrics"
 )
@@ -15,9 +14,6 @@ import (
 // the no-op contract call sites rely on to stay conditional-free.
 func TestNilSafety(t *testing.T) {
 	var tr *Tracer
-	if tr.Detailed() {
-		t.Fatal("nil tracer reports Detailed")
-	}
 	if err := tr.Close(); err != nil {
 		t.Fatalf("nil tracer Close: %v", err)
 	}
@@ -27,10 +23,12 @@ func TestNilSafety(t *testing.T) {
 	}
 	// Every span method must accept the nil receiver.
 	sp.AddQueries(3)
+	sp.AddRounds(1)
+	sp.AddSimNS(5)
 	sp.AddRetry()
 	sp.Event("ev", Int("k", 1))
 	sp.Annotate(String("k", "v"))
-	sp.SetBreakdown(metrics.NewBreakdown())
+	sp.MarkAnchor()
 	sp.AnnotateRuntime(RuntimeStats{})
 	sp.End()
 	if q := sp.Queries(); q != 0 {
@@ -40,67 +38,34 @@ func TestNilSafety(t *testing.T) {
 	if c := sp.Child("x"); c != nil {
 		t.Fatal("nil span Child returned non-nil")
 	}
-	//lint:ignore spanpair asserting the nil-span contract: ChildDetail on a nil span returns nil, there is nothing to end
-	if c := sp.ChildDetail("x"); c != nil {
-		t.Fatal("nil span ChildDetail returned non-nil")
-	}
-	if sp.Tracer() != nil {
-		t.Fatal("nil span Tracer returned non-nil")
-	}
 }
 
-// TestNoSinkRollup checks the no-op default still performs the Breakdown
-// rollup: proc-labelled spans add their duration and queries to the nearest
-// ancestor anchor even with nothing exported.
-func TestNoSinkRollup(t *testing.T) {
+// TestNoSinkReturnsNilSpans pins the sinkless tracer: with nowhere to
+// export, it creates no spans at all, so the attack's phases (which keep
+// their numbers in their own ledger) pay nothing for tracing.
+func TestNoSinkReturnsNilSpans(t *testing.T) {
 	tr := New()
-	if tr.Detailed() {
-		t.Fatal("sinkless tracer reports Detailed")
+	//lint:ignore spanpair asserting the no-sink contract: Start returns nil without a sink, there is nothing to end
+	if sp := tr.Start("attack"); sp != nil {
+		t.Fatal("sinkless tracer returned a span")
 	}
-	bd := metrics.NewBreakdown()
-	root := tr.Start("attack")
-	root.SetBreakdown(bd)
-
-	site := root.Child("site", Int("site", 0))
-	ph := site.Child("infer", Proc(metrics.ProcKeyBitInference))
-	ph.AddQueries(6)
-	time.Sleep(time.Millisecond)
-	ph.End()
-	site.End()
-	root.End()
-
 	if err := tr.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if bd.Queries(metrics.ProcKeyBitInference) != 6 {
-		t.Fatalf("rollup queries = %d, want 6", bd.Queries(metrics.ProcKeyBitInference))
-	}
-	if bd.Total() <= 0 {
-		t.Fatal("rollup recorded no time")
-	}
-	// ChildDetail must decline without a sink.
-	//lint:ignore spanpair asserting the no-sink contract: ChildDetail declines without a sink, there is nothing to end
-	if sp := tr.Start("x").ChildDetail("probe"); sp != nil {
-		t.Fatal("ChildDetail returned a span without a sink")
-	}
 }
 
-// TestEndIdempotent pins that a double End neither double-counts the rollup
-// nor exports a second record.
+// TestEndIdempotent pins that a double End exports one record, with the
+// counters the span had at its first End.
 func TestEndIdempotent(t *testing.T) {
 	var buf bytes.Buffer
 	tr := New(WithSink(&buf))
-	bd := metrics.NewBreakdown()
 	root := tr.Start("attack")
-	root.SetBreakdown(bd)
+	root.MarkAnchor()
 	ph := root.Child("infer", Proc(metrics.ProcKeyBitInference))
 	ph.AddQueries(2)
 	ph.End()
 	ph.End()
 	root.End()
-	if got := bd.Queries(metrics.ProcKeyBitInference); got != 2 {
-		t.Fatalf("double End double-counted: queries = %d, want 2", got)
-	}
 	trace, err := ReadTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
@@ -108,25 +73,21 @@ func TestEndIdempotent(t *testing.T) {
 	if len(trace.Spans) != 2 {
 		t.Fatalf("got %d span records, want 2", len(trace.Spans))
 	}
+	if _, queries, _, _ := trace.RollupFromSpans(root.id); queries[string(metrics.ProcKeyBitInference)] != 2 {
+		t.Fatalf("double End double-counted: queries = %v, want 2", queries)
+	}
 }
 
 // TestJSONLRoundTrip writes a small trace and reads it back through
 // ReadTrace, verifying span fields, the parent links, events, late
-// attributes, and the summary record — the `dnnlock trace` input format.
+// attributes, and the anchor mark — the `dnnlock trace` input format.
 func TestJSONLRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	tr := New(WithSink(&buf))
-	if !tr.Detailed() {
-		t.Fatal("sinked tracer not Detailed")
-	}
-	bd := metrics.NewBreakdown()
 	root := tr.Start("attack", String("model", "mlp"))
-	root.SetBreakdown(bd)
+	root.MarkAnchor()
 	ph := root.Child("infer", Proc(metrics.ProcKeyBitInference), Int("site", 4))
-	probe := ph.ChildDetail("probe", Int("bit", 7))
-	if probe == nil {
-		t.Fatal("ChildDetail declined with a sink attached")
-	}
+	probe := ph.Child("probe", Int("bit", 7))
 	probe.AddQueries(3)
 	probe.AddRetry()
 	probe.Event("degraded", String("reason", "transient"))
@@ -144,9 +105,6 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 	if len(trace.Spans) != 3 {
 		t.Fatalf("got %d spans, want 3", len(trace.Spans))
-	}
-	if len(trace.Summaries) != 1 {
-		t.Fatalf("got %d summaries, want 1", len(trace.Summaries))
 	}
 	byName := map[string]SpanRecord{}
 	for _, s := range trace.Spans {
@@ -184,29 +142,26 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if _, ok := inf.Attrs["proc"]; ok {
 		t.Fatal("proc leaked into the attrs map")
 	}
-	sum := trace.Summaries[0]
-	if sum.Span != byName["attack"].ID {
-		t.Fatal("summary not tied to the anchoring span")
+	if anchors := trace.Anchors(); len(anchors) != 1 || anchors[0].ID != byName["attack"].ID {
+		t.Fatalf("anchors = %+v, want only the attack span", anchors)
 	}
-	if sum.Queries[string(metrics.ProcKeyBitInference)] != 3 {
-		t.Fatalf("summary queries = %v", sum.Queries)
+	if pr.Anchor || inf.Anchor {
+		t.Fatal("anchor mark leaked onto a child span")
 	}
-	if sum.TimesNS[string(metrics.ProcKeyBitInference)] != inf.DurNS {
-		t.Fatalf("summary time %d != span dur %d",
-			sum.TimesNS[string(metrics.ProcKeyBitInference)], inf.DurNS)
+	if _, ok := byName["attack"].Attrs["anchor"]; ok {
+		t.Fatal("anchor leaked into the attrs map")
 	}
 }
 
 // TestConcurrentSpans hammers one tracer from many goroutines — parallel
 // QueryBatch workers each opening detail spans, adding counters, and ending
-// them — and checks the totals and the exported record count. Run under
-// -race this is the tracer's concurrency test.
+// them — and checks the totals, the rollup and the exported record count.
+// Run under -race this is the tracer's concurrency test.
 func TestConcurrentSpans(t *testing.T) {
 	var buf bytes.Buffer
 	tr := New(WithSink(&buf))
-	bd := metrics.NewBreakdown()
 	root := tr.Start("attack")
-	root.SetBreakdown(bd)
+	root.MarkAnchor()
 	const workers, perWorker = 8, 50
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -215,7 +170,7 @@ func TestConcurrentSpans(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				ph := root.Child(fmt.Sprintf("batch-%d", w), Proc(metrics.ProcLearningAttack))
-				sp := ph.ChildDetail("probe", Int("i", i))
+				sp := ph.Child("probe", Int("i", i))
 				sp.AddQueries(2)
 				sp.Event("tick")
 				sp.End()
@@ -231,15 +186,15 @@ func TestConcurrentSpans(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 	wantQ := int64(workers * perWorker * 2)
-	if got := bd.Queries(metrics.ProcLearningAttack); got != wantQ {
-		t.Fatalf("rollup queries = %d, want %d", got, wantQ)
-	}
 	if got := root.Queries(); got != wantQ {
 		t.Fatalf("root queries = %d, want %d", got, wantQ)
 	}
 	trace, err := ReadTrace(&buf)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if _, queries, _, _ := trace.RollupFromSpans(root.id); queries[string(metrics.ProcLearningAttack)] != wantQ {
+		t.Fatalf("rollup queries = %v, want %d", queries, wantQ)
 	}
 	wantSpans := 1 + 2*workers*perWorker
 	if len(trace.Spans) != wantSpans {
@@ -254,8 +209,9 @@ func TestConcurrentSpans(t *testing.T) {
 	}
 }
 
-// TestReadTraceErrors pins the reader's tolerance: unknown record types are
-// skipped, malformed JSON is an error with the line number.
+// TestReadTraceErrors pins the reader's tolerance: unknown record types
+// (including the summary records older traces carry) are skipped, malformed
+// JSON is an error with the line number.
 func TestReadTraceErrors(t *testing.T) {
 	in := `{"type":"span","id":1,"name":"a","start_ns":0,"dur_ns":5}
 {"type":"future-record","payload":1}
@@ -265,8 +221,8 @@ func TestReadTraceErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(trace.Spans) != 1 || len(trace.Summaries) != 1 {
-		t.Fatalf("spans=%d summaries=%d", len(trace.Spans), len(trace.Summaries))
+	if len(trace.Spans) != 1 {
+		t.Fatalf("spans=%d, want 1", len(trace.Spans))
 	}
 	if _, err := ReadTrace(strings.NewReader("{not json\n")); err == nil {
 		t.Fatal("malformed line accepted")
@@ -280,7 +236,6 @@ func TestReadTraceErrors(t *testing.T) {
 // tree walk loop until memory runs out, so the reader refuses it. A parent
 // missing from the file stays legal: a truncated trace has those.
 func TestReadTraceRejectsCycles(t *testing.T) {
-	const summary = `{"type":"summary","span":1,"times_ns":{"learning_attack":5},"queries":{}}` + "\n"
 	for name, spans := range map[string]string{
 		"self-parented": `{"type":"span","id":1,"parent":1,"name":"x","proc":"learning_attack","dur_ns":5}` + "\n",
 		"two-span cycle": `{"type":"span","id":1,"parent":2,"name":"x","dur_ns":5}` + "\n" +
@@ -288,7 +243,7 @@ func TestReadTraceRejectsCycles(t *testing.T) {
 		"shared id": `{"type":"span","id":1,"name":"x","dur_ns":5}` + "\n" +
 			`{"type":"span","id":1,"name":"y","dur_ns":5}` + "\n",
 	} {
-		if _, err := ReadTrace(strings.NewReader(spans + summary)); err == nil {
+		if _, err := ReadTrace(strings.NewReader(spans)); err == nil {
 			t.Errorf("%s: trace accepted", name)
 		}
 	}

@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -11,27 +12,15 @@ import (
 )
 
 // Rendering and verification of parsed traces, shared by `dnnlock trace`
-// and the tests. A trace may hold several rollup anchors (one per Table 1
-// cell); every view is computed per anchor.
+// and the tests. A trace may hold several anchors (one per attack of a
+// Table 1 cell or daemon job); every view is computed per anchor.
 
-// Anchor pairs a summary record with its span.
-type Anchor struct {
-	Span    SpanRecord
-	Summary SummaryRecord
-}
-
-// Anchors returns the trace's rollup anchors (summary-emitting spans) in
-// file order. A summary whose span record is missing (truncated file) is
-// skipped.
-func (t *Trace) Anchors() []Anchor {
-	byID := make(map[uint64]SpanRecord, len(t.Spans))
+// Anchors returns the trace's anchor spans (attack roots) in file order.
+func (t *Trace) Anchors() []SpanRecord {
+	var out []SpanRecord
 	for _, s := range t.Spans {
-		byID[s.ID] = s
-	}
-	var out []Anchor
-	for _, sum := range t.Summaries {
-		if sp, ok := byID[sum.Span]; ok {
-			out = append(out, Anchor{Span: sp, Summary: sum})
+		if s.Anchor {
+			out = append(out, s)
 		}
 	}
 	return out
@@ -54,40 +43,22 @@ func (t *Trace) children() map[uint64][]SpanRecord {
 	return out
 }
 
-// subtree lists root and every descendant.
-func (t *Trace) subtree(root uint64, kids map[uint64][]SpanRecord) []SpanRecord {
-	byID := make(map[uint64]SpanRecord, len(t.Spans))
-	for _, s := range t.Spans {
-		byID[s.ID] = s
-	}
-	var out []SpanRecord
-	stack := []uint64{root}
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if s, ok := byID[id]; ok {
-			out = append(out, s)
-		}
-		for _, c := range kids[id] {
-			stack = append(stack, c.ID)
-		}
-	}
-	return out
-}
-
-// RollupFromSpans recomputes the per-procedure durations, query counts,
-// round counts, and simulated channel times from the proc-labelled spans
-// under root — the projection the summary record claims to be. Integer
-// sums of the same values the live rollup added, so agreement is exact,
-// not approximate.
+// RollupFromSpans sums the durations, query counts, round counts, and
+// simulated channel times of the proc-labelled spans under root, per
+// procedure: the anchor's Figure 3 breakdown. A procedure with a phase
+// under root has an entry in times, queries and rounds; sim holds only
+// nonzero entries.
 func (t *Trace) RollupFromSpans(root uint64) (times, queries, rounds, sim map[string]int64) {
 	times = map[string]int64{}
 	queries = map[string]int64{}
 	rounds = map[string]int64{}
 	sim = map[string]int64{}
 	kids := t.children()
-	for _, s := range t.subtree(root, kids) {
-		if s.Proc == "" || s.ID == root {
+	stack := append([]SpanRecord(nil), kids[root]...)
+	for len(stack) > 0 {
+		s := stack[len(stack)-1]
+		stack = append(stack[:len(stack)-1], kids[s.ID]...)
+		if s.Proc == "" {
 			continue
 		}
 		times[s.Proc] += s.DurNS
@@ -100,139 +71,82 @@ func (t *Trace) RollupFromSpans(root uint64) (times, queries, rounds, sim map[st
 	return times, queries, rounds, sim
 }
 
-// Check verifies a trace's internal consistency for every anchor:
+// Check verifies a trace's internal consistency: it holds at least one
+// anchor, and for every anchor the procedure times sum
 //
-//  1. the summary's per-procedure times and query counts equal the rollup
-//     recomputed from the spans, exactly;
-//  2. the procedure times sum to no more than the anchor span's duration
-//     (procedures are disjoint sequential phases), and
-//  3. to no less than minCover of it (the breakdown explains the wall time
+//  1. to no more than the anchor span's duration (procedures are disjoint
+//     sequential phases), and
+//  2. to no less than minCover of it (the breakdown explains the wall time
 //     up to setup/teardown).
 //
-// This is the `dnnlock trace -check` smoke in scripts/check.sh.
+// ReadTrace has already checked that the span tree is walkable (no shared
+// IDs, no cycles). This is the `dnnlock trace -check` smoke in
+// scripts/check.sh.
 func (t *Trace) Check(minCover float64) error {
 	anchors := t.Anchors()
 	if len(anchors) == 0 {
-		return fmt.Errorf("trace holds no rollup anchors (no summary records)")
+		return fmt.Errorf("trace holds no anchors (no attack root spans)")
 	}
 	for _, a := range anchors {
-		times, queries, rounds, sim := t.RollupFromSpans(a.Span.ID)
-		for proc, ns := range a.Summary.TimesNS {
-			if times[proc] != ns {
-				return fmt.Errorf("anchor %d (%s): summary says %s took %v, span rollup says %v",
-					a.Span.ID, a.Span.Name, proc, time.Duration(ns), time.Duration(times[proc]))
-			}
-		}
-		for proc, ns := range times {
-			if a.Summary.TimesNS[proc] != ns {
-				return fmt.Errorf("anchor %d (%s): span rollup has %s (%v) missing from the summary",
-					a.Span.ID, a.Span.Name, proc, time.Duration(ns))
-			}
-		}
-		for proc, n := range a.Summary.Queries {
-			if queries[proc] != n {
-				return fmt.Errorf("anchor %d (%s): summary says %s used %d queries, span rollup says %d",
-					a.Span.ID, a.Span.Name, proc, n, queries[proc])
-			}
-		}
-		for proc, n := range a.Summary.Rounds {
-			if rounds[proc] != n {
-				return fmt.Errorf("anchor %d (%s): summary says %s used %d rounds, span rollup says %d",
-					a.Span.ID, a.Span.Name, proc, n, rounds[proc])
-			}
-		}
-		for proc, n := range rounds {
-			if a.Summary.Rounds[proc] != n {
-				return fmt.Errorf("anchor %d (%s): span rollup has %s (%d rounds) missing from the summary",
-					a.Span.ID, a.Span.Name, proc, n)
-			}
-		}
-		// Simulated channel time (farm runs) reconciles two-way, exactly,
-		// the same as rounds.
-		for proc, ns := range a.Summary.SimNS {
-			if sim[proc] != ns {
-				return fmt.Errorf("anchor %d (%s): summary says %s spent %v simulated, span rollup says %v",
-					a.Span.ID, a.Span.Name, proc, time.Duration(ns), time.Duration(sim[proc]))
-			}
-		}
-		for proc, ns := range sim {
-			if a.Summary.SimNS[proc] != ns {
-				return fmt.Errorf("anchor %d (%s): span rollup has %s (%v simulated) missing from the summary",
-					a.Span.ID, a.Span.Name, proc, time.Duration(ns))
-			}
-		}
+		times, _, _, _ := t.RollupFromSpans(a.ID)
 		var sum int64
 		for _, ns := range times {
 			sum += ns
 		}
 		// 1% slack for clock granularity on very short runs.
-		if float64(sum) > 1.01*float64(a.Span.DurNS) {
+		if float64(sum) > 1.01*float64(a.DurNS) {
 			return fmt.Errorf("anchor %d (%s): procedures sum to %v, more than the span's %v",
-				a.Span.ID, a.Span.Name, time.Duration(sum), time.Duration(a.Span.DurNS))
+				a.ID, a.Name, time.Duration(sum), time.Duration(a.DurNS))
 		}
-		if float64(sum) < minCover*float64(a.Span.DurNS) {
+		if float64(sum) < minCover*float64(a.DurNS) {
 			return fmt.Errorf("anchor %d (%s): procedures cover only %v of %v (< %.0f%%)",
-				a.Span.ID, a.Span.Name, time.Duration(sum), time.Duration(a.Span.DurNS), 100*minCover)
+				a.ID, a.Name, time.Duration(sum), time.Duration(a.DurNS), 100*minCover)
 		}
 	}
 	return nil
 }
 
-// BreakdownTable renders each anchor's summary as the Figure 3 table: one
+// BreakdownTable renders each anchor's rollup as the Figure 3 table: one
 // row per procedure with its share, duration, query count, and round
 // count.
 func (t *Trace) BreakdownTable(w io.Writer) {
 	for _, a := range t.Anchors() {
-		fmt.Fprintf(w, "%s (span %d, %s", a.Span.Name, a.Span.ID, time.Duration(a.Span.DurNS).Round(time.Microsecond))
-		if attrs := formatAttrs(a.Span.Attrs); attrs != "" {
+		fmt.Fprintf(w, "%s (span %d, %s", a.Name, a.ID, time.Duration(a.DurNS).Round(time.Microsecond))
+		if attrs := formatAttrs(a.Attrs); attrs != "" {
 			fmt.Fprintf(w, ", %s", attrs)
 		}
 		fmt.Fprintln(w, ")")
+		times, queries, rounds, sim := t.RollupFromSpans(a.ID)
 		var total int64
-		for _, ns := range a.Summary.TimesNS {
+		for _, ns := range times {
 			total += ns
 		}
-		for _, proc := range procOrder(a.Summary) {
-			ns := a.Summary.TimesNS[proc]
+		for _, proc := range procOrder(times) {
+			ns := times[proc]
 			pct := 0.0
 			if total > 0 {
 				pct = 100 * float64(ns) / float64(total)
 			}
 			fmt.Fprintf(w, "  %-22s %6.1f%%  %12v  %9d queries  %7d rounds",
-				proc, pct, time.Duration(ns).Round(time.Microsecond),
-				a.Summary.Queries[proc], a.Summary.Rounds[proc])
-			if len(a.Summary.SimNS) > 0 {
-				fmt.Fprintf(w, "  %12v simulated", time.Duration(a.Summary.SimNS[proc]).Round(time.Microsecond))
+				proc, pct, time.Duration(ns).Round(time.Microsecond), queries[proc], rounds[proc])
+			if len(sim) > 0 {
+				fmt.Fprintf(w, "  %12v simulated", time.Duration(sim[proc]).Round(time.Microsecond))
 			}
 			fmt.Fprintln(w)
 		}
 	}
 }
 
-// procOrder lists a summary's procedures Figure-3 first, extras sorted.
-func procOrder(s SummaryRecord) []string {
-	var out []string
-	seen := map[string]bool{}
+// procOrder lists a rollup's procedures Figure-3 first, extras sorted.
+func procOrder(times map[string]int64) []string {
+	var out, extra []string
 	for _, p := range metrics.AllProcedures {
-		if _, ok := s.TimesNS[string(p)]; ok {
+		if _, ok := times[string(p)]; ok {
 			out = append(out, string(p))
-			seen[string(p)] = true
-			continue
-		}
-		if _, ok := s.Queries[string(p)]; ok {
-			out = append(out, string(p))
-			seen[string(p)] = true
 		}
 	}
-	var extra []string
-	for p := range s.TimesNS {
-		if !seen[p] {
-			extra = append(extra, p)
-			seen[p] = true
-		}
-	}
-	for p := range s.Queries {
-		if !seen[p] {
+	for p := range times {
+		if !slices.Contains(out, p) {
 			extra = append(extra, p)
 		}
 	}

@@ -15,9 +15,8 @@ func buildTrace(t *testing.T) *Trace {
 	t.Helper()
 	var buf bytes.Buffer
 	tr := New(WithSink(&buf))
-	bd := metrics.NewBreakdown()
 	root := tr.Start("attack", String("model", "mlp"))
-	root.SetBreakdown(bd)
+	root.MarkAnchor()
 	for site := 0; site < 2; site++ {
 		sp := root.Child("site", Int("site", site))
 		for _, proc := range []metrics.Procedure{
@@ -46,29 +45,35 @@ func buildTrace(t *testing.T) *Trace {
 
 // TestCheckAgainstLiveRollup is the round-trip contract behind `dnnlock
 // trace -check`: a trace produced by the tracer itself must always verify —
-// summary equals span rollup exactly, and the phases cover the root span.
+// the anchor's rollup adds up every phase under it, and the phases cover
+// the root span.
 func TestCheckAgainstLiveRollup(t *testing.T) {
 	trace := buildTrace(t)
 	anchors := trace.Anchors()
 	if len(anchors) != 1 {
 		t.Fatalf("anchors = %d, want 1", len(anchors))
 	}
-	times, queries, rounds, _ := trace.RollupFromSpans(anchors[0].Span.ID)
+	times, queries, rounds, sim := trace.RollupFromSpans(anchors[0].ID)
 	if got := queries[string(metrics.ProcKeyBitInference)]; got != 20 {
 		t.Fatalf("rollup queries = %d, want 20", got)
 	}
 	if got := rounds[string(metrics.ProcKeyBitInference)]; got != 8 {
 		t.Fatalf("rollup rounds = %d, want 8", got)
 	}
-	for proc, n := range anchors[0].Summary.Rounds {
-		if rounds[proc] != n {
-			t.Fatalf("summary rounds/%s = %d, span rollup = %d", proc, n, rounds[proc])
+	if len(times) != 3 || len(queries) != 3 || len(rounds) != 3 || len(sim) != 0 {
+		t.Fatalf("rollup procedures: times %v queries %v rounds %v sim %v", times, queries, rounds, sim)
+	}
+	var phases, rolled int64
+	for _, s := range trace.Spans {
+		if s.Proc != "" {
+			phases += s.DurNS
 		}
 	}
-	for proc, ns := range anchors[0].Summary.TimesNS {
-		if times[proc] != ns {
-			t.Fatalf("summary/%s = %d, span rollup = %d", proc, ns, times[proc])
-		}
+	for _, ns := range times {
+		rolled += ns
+	}
+	if rolled != phases {
+		t.Fatalf("rollup time %d, phase spans %d", rolled, phases)
 	}
 	if err := trace.Check(0.5); err != nil {
 		t.Fatalf("Check failed on a live trace: %v", err)
@@ -85,23 +90,10 @@ func TestCheckCatchesCorruption(t *testing.T) {
 			t.Errorf("%s: corruption not caught", name)
 		}
 	}
-	tamper("summary time inflated", func(tr *Trace) {
-		tr.Summaries[0].TimesNS[string(metrics.ProcKeyBitInference)] += 12345
-	})
-	tamper("summary queries wrong", func(tr *Trace) {
-		tr.Summaries[0].Queries[string(metrics.ProcLearningAttack)]--
-	})
-	tamper("summary rounds wrong", func(tr *Trace) {
-		tr.Summaries[0].Rounds[string(metrics.ProcLearningAttack)]--
-	})
-	tamper("rounds missing from summary", func(tr *Trace) {
-		delete(tr.Summaries[0].Rounds, string(metrics.ProcKeyVectorValidation))
-	})
-	tamper("procedure missing from summary", func(tr *Trace) {
-		delete(tr.Summaries[0].TimesNS, string(metrics.ProcKeyVectorValidation))
-	})
-	tamper("no summaries at all", func(tr *Trace) {
-		tr.Summaries = nil
+	tamper("no anchors at all", func(tr *Trace) {
+		for i := range tr.Spans {
+			tr.Spans[i].Anchor = false
+		}
 	})
 	tamper("span duration shrunk below coverage", func(tr *Trace) {
 		for i := range tr.Spans {
@@ -109,7 +101,19 @@ func TestCheckCatchesCorruption(t *testing.T) {
 				tr.Spans[i].DurNS = 0
 			}
 		}
-		// Summary still claims the original times: exact-match fails.
+	})
+	tamper("procedures outlast the anchor", func(tr *Trace) {
+		var phases int64
+		for _, s := range tr.Spans {
+			if s.Proc != "" {
+				phases += s.DurNS
+			}
+		}
+		for i := range tr.Spans {
+			if tr.Spans[i].Anchor {
+				tr.Spans[i].DurNS = phases * 9 / 10
+			}
+		}
 	})
 }
 
@@ -161,18 +165,15 @@ func TestFlame(t *testing.T) {
 	}
 }
 
-// TestProcOrder pins extras-after-canonical ordering in summaries.
+// TestProcOrder pins extras-after-canonical ordering in rollups.
 func TestProcOrder(t *testing.T) {
-	sum := SummaryRecord{
-		TimesNS: map[string]int64{
-			"zeta_extra":        1,
-			"alpha_extra":       1,
-			"learning_attack":   1,
-			"key_bit_inference": 1,
-		},
-		Queries: map[string]int64{"error_correction": 4},
-	}
-	got := procOrder(sum)
+	got := procOrder(map[string]int64{
+		"zeta_extra":        1,
+		"alpha_extra":       1,
+		"error_correction":  4,
+		"learning_attack":   1,
+		"key_bit_inference": 1,
+	})
 	want := []string{"key_bit_inference", "learning_attack", "error_correction", "alpha_extra", "zeta_extra"}
 	if len(got) != len(want) {
 		t.Fatalf("procOrder = %v, want %v", got, want)
