@@ -4,7 +4,7 @@
 //   - BenchmarkTable1* — one benchmark per Table 1 architecture, running
 //     the full train → lock → monolithic attack → decryption attack cell
 //     at tiny scale and reporting fidelity/queries as benchmark metrics.
-//     (The full-size sweep is `go run ./cmd/dnnlock bench -scale quick`.)
+//     (The full-size sweep is `go run ./cmd/dnnlock table1 -scale quick`.)
 //   - BenchmarkFigure3* — the decryption attack with its per-procedure
 //     runtime breakdown reported as *_pct metrics.
 //   - BenchmarkKeySizeScaling* — Table 1's within-architecture key-size

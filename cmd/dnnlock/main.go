@@ -1,14 +1,13 @@
 // Command dnnlock is the driver for the HPNN logic-locking reproduction:
 // it trains and locks models, launches the decryption and monolithic
 // attacks against a simulated hardware-root-of-trust oracle, and
-// regenerates the paper's Table 1 and Figure 3.
+// regenerates the paper's Table 1 and Figure 3 (`dnnlock table1`).
 //
 // Usage:
 //
 //	dnnlock lock   -model mlp -bits 32 -out locked.json -keyout key.txt [-epochs 4] [-examples 1500] [-seed 1] [-scheme negation|scaling|bias-shift|weight-perturb -alpha 0.5]
 //	dnnlock attack -in locked.json -keyfile key.txt [-monolithic] [-seed 1]
-//	dnnlock bench  -exp table1|figure3|all [-scale tiny|quick|paper] [-models mlp,lenet] [-keysizes 16,32] [-csv rows.csv] [-seed 1]
-//	dnnlock table1 -model mlp [-scale tiny|quick|paper] [-keysizes 16,32] [-cellworkers n] [-csv rows.csv] [-trace out.jsonl] [-pprof :6060] [-v] [-seed 1]
+//	dnnlock table1 [-model mlp,lenet,resnet,vtransformer] [-scale tiny|quick|paper] [-keysizes 16,32] [-cellworkers n] [-csv rows.csv] [-trace out.jsonl] [-pprof :6060] [-v] [-seed 1]
 //	dnnlock trace  -in out.jsonl [-check] [-cover 0.5] [-depth 3]
 //	dnnlock robust -model mlp -bits 8 [-scale tiny|quick|paper] [-sigmas 0,1e-4,1e-3] [-qbits 24,16,10] [-csv rows.csv] [-seed 1]
 //	dnnlock farm   -model mlp -bits 8 [-scale tiny|quick|paper] [-devices 1000] [-rtts 1ms,20ms,100ms] [-bws 0,10,1] [-loss 0,0.01] [-mixes clean,mixed] [-csv rows.csv] [-seed 1]
@@ -60,8 +59,6 @@ func main() {
 		err = cmdLock(os.Args[2:])
 	case "attack":
 		err = cmdAttack(os.Args[2:])
-	case "bench":
-		err = cmdBench(os.Args[2:])
 	case "table1":
 		err = cmdTable1(os.Args[2:])
 	case "trace":
@@ -85,11 +82,10 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: dnnlock <lock|attack|bench|table1|trace|robust|farm|info|verify> [flags]
+	fmt.Fprintln(os.Stderr, `usage: dnnlock <lock|attack|table1|trace|robust|farm|info|verify> [flags]
   lock    build, HPNN-lock, and train a model; save model + key
   attack  run the DNN decryption attack (or -monolithic) on a saved model
-  bench   regenerate the paper's Table 1 / Figure 3
-  table1  Table 1 sweep with observability: -trace out.jsonl -pprof :6060 -v
+  table1  regenerate the paper's Table 1 + Figure 3 (-trace out.jsonl -pprof :6060 -v)
   trace   render a JSONL trace: Figure-3 table per anchor + flame summary (-check: tree + coverage)
   robust  sweep the decryption attack across noisy/quantized oracles
   farm    price the attack over a simulated device farm: RTT x bandwidth x loss x fleet mix
@@ -241,48 +237,6 @@ func cmdAttack(args []string) error {
 	return nil
 }
 
-func cmdBench(args []string) error {
-	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	exp := fs.String("exp", "all", "experiment: table1, figure3, or all")
-	scaleName := fs.String("scale", "tiny", "scale: tiny, quick, paper")
-	modelsFlag := fs.String("models", "mlp,lenet,resnet,vtransformer", "comma-separated model list")
-	keysizes := fs.String("keysizes", "", "override key sizes for all models, e.g. 16,32")
-	csvPath := fs.String("csv", "", "also write Table 1 rows to this CSV file")
-	seed := fs.Int64("seed", 1, "experiment seed")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	sc, err := parseScale(*scaleName)
-	if err != nil {
-		return err
-	}
-	sc.Seed = *seed
-	if err := applyKeySizes(&sc, *keysizes); err != nil {
-		return err
-	}
-	names := strings.Split(*modelsFlag, ",")
-	fmt.Printf("scale=%s models=%v\n", sc.Name, names)
-	rows, err := harness.RunTable1(sc, names, os.Stdout)
-	if err != nil {
-		return err
-	}
-	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
-		if err != nil {
-			return err
-		}
-		harness.WriteCSV(rows, f)
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	if *exp == "figure3" || *exp == "all" {
-		fmt.Println("\nFigure 3: runtime breakdown of the decryption attack")
-		harness.FormatFigure3(harness.RunFigure3(rows), os.Stdout)
-	}
-	return nil
-}
-
 // applyKeySizes overrides every model's key sizes with a comma-separated
 // list; an empty list leaves the scale's defaults alone.
 func applyKeySizes(sc *harness.Scale, list string) error {
@@ -303,11 +257,11 @@ func applyKeySizes(sc *harness.Scale, list string) error {
 	return nil
 }
 
-// cmdTable1 is the observability-first Table 1 driver: the bench sweep
-// plus span tracing (-trace), pprof (-pprof), and debug logging (-v).
+// cmdTable1 regenerates Table 1 and Figure 3 over the given models, with
+// optional span tracing (-trace), pprof (-pprof), and debug logging (-v).
 func cmdTable1(args []string) error {
 	fs := flag.NewFlagSet("table1", flag.ExitOnError)
-	modelsFlag := fs.String("model", "mlp", "comma-separated model list")
+	modelsFlag := fs.String("model", "mlp,lenet,resnet,vtransformer", "comma-separated model list")
 	scaleName := fs.String("scale", "tiny", "scale: tiny, quick, paper")
 	keysizes := fs.String("keysizes", "", "override key sizes for all models, e.g. 16,32")
 	csvPath := fs.String("csv", "", "also write Table 1 rows to this CSV file")

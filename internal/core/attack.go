@@ -80,9 +80,6 @@ func New(white *nn.Network, spec hpnn.LockSpec, orc oracle.Interface, cfg Config
 	return a
 }
 
-// Breakdown exposes the attack's per-procedure ledger (Figure 3).
-func (a *Attack) Breakdown() *metrics.Breakdown { return a.bd }
-
 // loggerFor resolves the attack's logger: Logger, else the
 // DNNLOCK_LOG-controlled default.
 func loggerFor(cfg Config) *slog.Logger {

@@ -127,9 +127,6 @@ func TestCurrentKeyTracksSetBit(t *testing.T) {
 	if !a.decided[2] || a.confidence[2] != 0.5 || a.origins[4] != OriginCorrection {
 		t.Fatal("bit state not recorded")
 	}
-	if a.Breakdown() == nil {
-		t.Fatal("Breakdown accessor nil")
-	}
 }
 
 func TestLowConfidenceBits(t *testing.T) {

@@ -27,8 +27,8 @@ const CheckpointVersion = 1
 // continues the run bit-identically (see Checkpoint).
 var ErrSuspended = errors.New("core: attack suspended at site boundary")
 
-// Checkpoint is the complete resumable state of a decryption attack (the
-// Negation-scheme Run path) captured at a site boundary — after a site's
+// Checkpoint is the complete resumable state of a decryption attack (Run,
+// under every lock scheme) captured at a site boundary — after a site's
 // validation settled (or deferred, §3.7) and before the next site starts.
 //
 // # Wire format
@@ -51,8 +51,11 @@ var ErrSuspended = errors.New("core: attack suspended at site boundary")
 //   - decided, key, confidence, origins: per-bit arrays aligned with
 //     spec.Neurons. Resume replays every decided bit into a fresh white-box
 //     clone (the same identity-hypothesis clone New builds), which
-//     reconstructs the working network exactly: flip coefficients are the
-//     only state the attack mutates, and hardening (§3.6) leaves them ±1.
+//     reconstructs the working network exactly under every scheme: the
+//     scheme's applier writes each bit absolutely — a flip sign
+//     (negation, hardened to ±1 after §3.6), a scaling factor, a bias
+//     offset or one producer weight — and those writes are the only state
+//     the attack mutates.
 //   - pending_bits, pending_sites: the not-yet-validated group carried
 //     across deferred sites (mid residual block, §3.7).
 //   - sites: the per-site reports accumulated so far (Result.Sites prefix).
@@ -240,9 +243,6 @@ func checkProcMap[V ~int64](name string, m map[metrics.Procedure]V, ran map[metr
 // The resumed run continues to honor cfg.OnCheckpoint, so a job may be
 // suspended and resumed any number of times.
 func Resume(whiteBox *nn.Network, spec hpnn.LockSpec, orc oracle.Interface, cfg Config, ck *Checkpoint) (*Result, error) {
-	if spec.Scheme != hpnn.Negation {
-		return nil, fmt.Errorf("core: checkpointing covers the Negation decryption attack only (variant reductions run uninterrupted)")
-	}
 	a := New(whiteBox, spec, orc, cfg)
 	if err := ck.validateFor(spec, a.cfg); err != nil {
 		return nil, err
@@ -265,12 +265,12 @@ type resumeBase struct {
 
 // restore replays a checkpoint into a freshly constructed attack: every
 // decided bit is written back into the identity-hypothesis white box via
-// setBit (reconstructing the working network exactly — flip coefficients
-// are the only state the attack mutates), the cumulative counters that
-// live on the attack (degradations, bisection accounting) are re-armed so
-// they keep counting from their checkpointed values, and each procedure
-// that ran is seeded into the ledger as one phase holding its checkpointed
-// totals.
+// setBit (reconstructing the working network exactly — the applier's
+// absolute per-bit writes are the only state the attack mutates), the
+// cumulative counters that live on the attack (degradations, bisection
+// accounting) are re-armed so they keep counting from their checkpointed
+// values, and each procedure that ran is seeded into the ledger as one
+// phase holding its checkpointed totals.
 func (a *Attack) restore(ck *Checkpoint) resumeBase {
 	for i := range ck.Decided {
 		if ck.Decided[i] {
@@ -299,10 +299,10 @@ func (a *Attack) restore(ck *Checkpoint) resumeBase {
 }
 
 // snapshot captures the attack's complete resumable state at a site
-// boundary. The delta arguments are this segment's oracle/wall consumption
-// so far; base carries the prior segments' totals on a resumed run.
-func (a *Attack) snapshot(base *resumeBase, sitesDone int, reports []SiteReport,
-	pending *sitePending, draws uint64, dq, dr int64, wall, sim time.Duration) *Checkpoint {
+// boundary. Its totals are base (the prior segments' totals on a resumed
+// run) plus this segment's usage since seg, as in result.
+func (a *Attack) snapshot(base *resumeBase, seg segment, sitesDone int, reports []SiteReport,
+	pending *sitePending, draws uint64) *Checkpoint {
 
 	n := a.spec.NumBits()
 	ck := &Checkpoint{
@@ -318,10 +318,11 @@ func (a *Attack) snapshot(base *resumeBase, sitesDone int, reports []SiteReport,
 		PendingBits:  append([]int(nil), pending.bits...),
 		PendingSites: append([]int(nil), pending.sites...),
 		Sites:        append([]SiteReport(nil), reports...),
-		Queries:      base.queries + dq,
-		Rounds:       base.rounds + dr,
-		WallNS:       int64(base.wall + wall),
-		SimNS:        int64(base.sim + sim),
+		Queries:      base.queries + a.orc.Queries() - seg.queries,
+		Rounds:       base.rounds + a.orc.Rounds() - seg.rounds,
+		//lint:ignore determinism telemetry: checkpointed wall time reported to the operator, not used in computation
+		WallNS:       int64(base.wall + time.Since(seg.start)),
+		SimNS:        int64(base.sim + simElapsed(a.orc) - seg.sim),
 		Degraded:     a.degraded.Load(),
 		BisectRounds: a.crit.rounds.Load(),
 		BisectProbes: a.crit.probes.Load(),

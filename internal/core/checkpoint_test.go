@@ -15,15 +15,23 @@ import (
 	"dnnlock/internal/oracle"
 )
 
-// checkpointFixture builds a multi-site locked MLP and the attack inputs.
-// freshWhite returns an independent white-box clone so resumed runs start
-// from the adversary's pristine download, exactly as dnnlockd would after a
-// restart.
+// checkpointFixture builds a multi-site Negation-locked MLP and the attack
+// inputs.
 func checkpointFixture(t testing.TB, bits int) (fresh func() (*nn.Network, hpnn.LockSpec, *oracle.Oracle), key hpnn.Key) {
 	t.Helper()
-	rng := rand.New(rand.NewSource(7))
+	return lockFixture(t, 7, hpnn.Config{Scheme: hpnn.Negation, KeyBits: bits})
+}
+
+// lockFixture locks a TinyMLP drawn from rng seed seed under lc (its Rng
+// is set here) and returns the attack inputs. fresh returns an independent
+// white-box clone so resumed runs start from the adversary's pristine
+// download, exactly as dnnlockd would after a restart.
+func lockFixture(t testing.TB, seed int64, lc hpnn.Config) (fresh func() (*nn.Network, hpnn.LockSpec, *oracle.Oracle), key hpnn.Key) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
 	net := models.TinyMLP(rng)
-	lm, k := hpnn.Lock(net, hpnn.Config{Scheme: hpnn.Negation, KeyBits: bits, Rng: rng})
+	lc.Rng = rng
+	lm, k := hpnn.Lock(net, lc)
 	if len(lm.Spec.SiteBits()) < 2 {
 		t.Fatalf("fixture has %d sites, need >= 2 for boundary coverage", len(lm.Spec.SiteBits()))
 	}
@@ -41,7 +49,32 @@ func checkpointFixture(t testing.TB, bits int) (fresh func() (*nn.Network, hpnn.
 // segment.
 func TestCheckpointResumeBitIdentity(t *testing.T) {
 	fresh, key := checkpointFixture(t, 10)
+	resumeEveryBoundary(t, fresh, key)
+}
 
+// TestCheckpointResumeVariants holds the §3.9 locks to the same contract:
+// they run through the same site loop, so each offers one checkpoint per
+// site and resumes from every boundary bit-identically.
+func TestCheckpointResumeVariants(t *testing.T) {
+	for _, v := range []struct {
+		scheme hpnn.Scheme
+		alpha  float64
+	}{{hpnn.Scaling, 0.5}, {hpnn.BiasShift, 0.8}, {hpnn.WeightPerturb, 1.1}} {
+		t.Run(v.scheme.String(), func(t *testing.T) {
+			fresh, key := lockFixture(t, 42, hpnn.Config{Scheme: v.scheme, Alpha: v.alpha, KeyBits: 8})
+			ref := resumeEveryBoundary(t, fresh, key)
+			t.Logf("%d queries, %d rounds", ref.Queries, ref.Rounds)
+		})
+	}
+}
+
+// resumeEveryBoundary runs the attack on fresh's inputs uninterrupted, then
+// hooked to capture a checkpoint at every site boundary, and resumes each
+// checkpoint through the JSON wire format against a fresh white box and a
+// fresh clean oracle. The hooked run and every resumed run must match the
+// uninterrupted one, which must recover key; it is returned.
+func resumeEveryBoundary(t *testing.T, fresh func() (*nn.Network, hpnn.LockSpec, *oracle.Oracle), key hpnn.Key) *Result {
+	t.Helper()
 	// Reference: uninterrupted run (no hook at all).
 	white, spec, orc := fresh()
 	ref, err := Run(white, spec, orc, DefaultConfig())
@@ -75,9 +108,9 @@ func TestCheckpointResumeBitIdentity(t *testing.T) {
 		t.Fatalf("got %d checkpoints, want one per site (%d)", len(boundaries), nSites)
 	}
 
-	// Resume from every boundary (except the last, which has no work left —
-	// covered separately below) and require the stitched-together totals to
-	// match the uninterrupted run exactly.
+	// Resume from every boundary (the last one has only the final check
+	// left) and require the stitched-together totals to match the
+	// uninterrupted run exactly.
 	for i, raw := range boundaries {
 		ck, err := UnmarshalCheckpoint(raw)
 		if err != nil {
@@ -102,6 +135,7 @@ func TestCheckpointResumeBitIdentity(t *testing.T) {
 			}
 		}
 	}
+	return ref
 }
 
 // TestCheckpointSuspendThenResume exercises the true daemon path: the hook

@@ -148,9 +148,9 @@ type Config struct {
 	// Resume continues from the delivered checkpoint bit-identically (same
 	// key, queries, rounds as an uninterrupted run). The hook runs on the
 	// attack goroutine between sites, so it may block (dnnlockd persists the
-	// checkpoint inside it) but blocks the attack while it does. Ignored
-	// by the §3.9 variant reductions and the monolithic baseline, which run
-	// uninterrupted.
+	// checkpoint inside it) but blocks the attack while it does. Every
+	// lock scheme checkpoints; only the monolithic baseline ignores the
+	// hook and runs uninterrupted.
 	OnCheckpoint func(*Checkpoint) bool
 
 	// critStats, when non-nil, accumulates the zero-search refinement

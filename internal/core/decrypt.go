@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"time"
 
@@ -14,21 +15,27 @@ import (
 )
 
 // Run executes the DNN decryption attack (Algorithm 2) against the oracle:
-// layer by layer in topological order, it attempts the algebraic
-// key_bit_inference on every protected neuron, falls back to the
-// learning_attack for ⊥ bits, and gates progression to the next layer on
-// key_vector_validation, repairing failures with error_correction. It
-// returns the recovered key together with query counts and the Figure 3
-// timing breakdown.
+// layer by layer in topological order, it decides every protected bit it
+// can algebraically, falls back for the ⊥ bits, and gates progression to
+// the next layer on key_vector_validation, repairing failures with
+// error_correction. It returns the recovered key together with query
+// counts and the Figure 3 timing breakdown.
+//
+// The lock scheme changes only how a bit is decided. Under negation,
+// key_bit_inference (Algorithm 1) decides it and the learning_attack
+// (§3.6) takes the ⊥ bits. The §3.9 variants decide a bit by
+// candidate-hyperplane testing (hypothesisTestBit); a ⊥ bit defaults to 0
+// with no confidence for validation and correction to repair, and a bit
+// that is still undecided after the last site is settled against the
+// oracle before the final check (settleUnknown).
 //
 // The whiteBox argument is the adversary's downloaded model (weights with
-// identity flips); it is cloned, never mutated.
+// identity keys); it is cloned, never mutated.
 //
 // Run never panics on oracle failure: transient device errors are retried
 // (cfg.QueryRetries) and, if persistent, the affected decision degrades to
-// ⊥ and falls through to the learning attack (counted in Result.Degraded);
-// terminal errors — oracle.ErrBudgetExhausted, hard device faults — abort
-// the run with a returned error.
+// ⊥ (counted in Result.Degraded); terminal errors — oracle.ErrBudgetExhausted,
+// hard device faults — abort the run with a returned error.
 //
 // The returned Breakdown is the run's per-procedure ledger (Figure 3), and
 // the per-procedure maps of the Result are read from it. With cfg.Tracer
@@ -40,9 +47,6 @@ import (
 // every site boundary; returning false from the hook suspends the run
 // (Run returns ErrSuspended) and Resume continues it bit-identically.
 func Run(whiteBox *nn.Network, spec hpnn.LockSpec, orc oracle.Interface, cfg Config) (*Result, error) {
-	if spec.Scheme != hpnn.Negation {
-		return RunVariant(whiteBox, spec, orc, cfg)
-	}
 	return New(whiteBox, spec, orc, cfg).runFrom(resumeBase{})
 }
 
@@ -60,12 +64,9 @@ type sitePending struct {
 // an uninterrupted one. The exported trace covers only the post-resume
 // segment: it anchors the new segment's span tree.
 func (a *Attack) runFrom(base resumeBase) (*Result, error) {
-	//lint:ignore determinism telemetry timer for Result.Time; the value never feeds the numerics
-	start := time.Now()
-	startQ := a.orc.Queries()
-	startR := a.orc.Rounds()
-	startS := simElapsed(a.orc)
-	root := startRoot(a.cfg, "attack", obs.Int("bits", a.spec.NumBits()))
+	seg := a.startSegment()
+	root := startRoot(a.cfg, "attack", obs.Int("bits", a.spec.NumBits()),
+		obs.String("scheme", a.spec.Scheme.String()))
 	a.root = root
 	defer root.End() // idempotent: the success path ends it with annotations
 	src := newCountedSource(a.cfg.Seed)
@@ -84,11 +85,7 @@ func (a *Attack) runFrom(base resumeBase) (*Result, error) {
 		}
 		reports = append(reports, rep)
 		if a.cfg.OnCheckpoint != nil {
-			//lint:ignore determinism telemetry: checkpointed wall time reported to the operator, not used in computation
-			wall := time.Since(start)
-			ck := a.snapshot(&base, si+1, reports, &pending, src.draws(),
-				a.orc.Queries()-startQ, a.orc.Rounds()-startR,
-				wall, simElapsed(a.orc)-startS)
+			ck := a.snapshot(&base, seg, si+1, reports, &pending, src.draws())
 			if !a.cfg.OnCheckpoint(ck) {
 				root.End(obs.Bool("suspended", true), obs.Int("sites_done", si+1))
 				return nil, ErrSuspended
@@ -96,28 +93,21 @@ func (a *Attack) runFrom(base resumeBase) (*Result, error) {
 		}
 	}
 
+	if slices.Contains(a.origins, OriginUnknown) {
+		var settleErr error
+		a.trackProc(root, metrics.ProcErrorCorrection, func() {
+			settleErr = a.settleUnknown(rng)
+		})
+		if settleErr != nil {
+			return nil, fmt.Errorf("core: settling undecided bits: %w", settleErr)
+		}
+	}
 	fsp := root.Child("final_check")
 	eq, eqErr := a.directCompare(fsp, a.white, rng)
 	fsp.End(obs.Bool("equivalent", eq))
-	ledger := a.bd.Snapshot()
-	res := &Result{
-		Key:     a.CurrentKey(),
-		Origins: append([]BitOrigin(nil), a.origins...),
-		Queries: base.queries + a.orc.Queries() - startQ,
-		Rounds:  base.rounds + a.orc.Rounds() - startR,
-		//lint:ignore determinism telemetry: elapsed wall time reported to the operator, not used in computation
-		Time:          base.wall + time.Since(start),
-		SimTime:       base.sim + simElapsed(a.orc) - startS,
-		Breakdown:     a.bd,
-		QueriesByProc: ledger.Queries,
-		RoundsByProc:  ledger.Rounds,
-		SimByProc:     ledger.Sim,
-		Sites:         reports,
-		Equivalent:    eq,
-		Degraded:      int(a.degraded.Load()),
-		BisectRounds:  a.crit.rounds.Load(),
-		BisectProbes:  a.crit.probes.Load(),
-	}
+	res := a.result(&base, seg)
+	res.Sites = reports
+	res.Equivalent = eq
 	root.End(obs.Int64("queries", res.Queries), obs.Int64("rounds", res.Rounds),
 		obs.Int("degraded", res.Degraded), obs.Bool("equivalent", res.Equivalent))
 	if eqErr != nil {
@@ -126,22 +116,73 @@ func (a *Attack) runFrom(base resumeBase) (*Result, error) {
 	if !res.Equivalent {
 		return res, fmt.Errorf("core: recovered key is not functionally equivalent to the oracle")
 	}
+	if i := slices.Index(res.Origins, OriginUnknown); i >= 0 {
+		return res, fmt.Errorf("core: key bit %d was never decided", i)
+	}
 	return res, nil
 }
 
-// runSite attacks the protected bits of one flip site: algebraic inference,
-// learning fallback, then the validation / correction loop over the pending
-// group (Algorithm 2 lines 4–10). The site span always ends — the success
-// paths end it explicitly with annotations, and the deferred End (a no-op
-// after an explicit one) covers the error returns, so an aborted run still
-// exports the partial site record instead of truncating the trace.
+// segment marks where a run, or a resumed run's new segment, began: the
+// wall clock and the oracle's query, round and simulated-time counters.
+type segment struct {
+	start           time.Time
+	queries, rounds int64
+	sim             time.Duration
+}
+
+func (a *Attack) startSegment() segment {
+	return segment{
+		//lint:ignore determinism telemetry timer for Result.Time; the value never feeds the numerics
+		start:   time.Now(),
+		queries: a.orc.Queries(),
+		rounds:  a.orc.Rounds(),
+		sim:     simElapsed(a.orc),
+	}
+}
+
+// result assembles a run's Result from the key and origins written into
+// the white box, the ledger, and the run totals: base (the prior segments'
+// totals of a resumed run, else zero) plus this segment's usage since seg.
+// The caller fills Sites and Equivalent.
+func (a *Attack) result(base *resumeBase, seg segment) *Result {
+	ledger := a.bd.Snapshot()
+	return &Result{
+		Key:     a.CurrentKey(),
+		Origins: append([]BitOrigin(nil), a.origins...),
+		Queries: base.queries + a.orc.Queries() - seg.queries,
+		Rounds:  base.rounds + a.orc.Rounds() - seg.rounds,
+		//lint:ignore determinism telemetry: elapsed wall time reported to the operator, not used in computation
+		Time:          base.wall + time.Since(seg.start),
+		SimTime:       base.sim + simElapsed(a.orc) - seg.sim,
+		Breakdown:     a.bd,
+		QueriesByProc: ledger.Queries,
+		RoundsByProc:  ledger.Rounds,
+		SimByProc:     ledger.Sim,
+		Degraded:      int(a.degraded.Load()),
+		BisectRounds:  a.crit.rounds.Load(),
+		BisectProbes:  a.crit.probes.Load(),
+	}
+}
+
+// runSite attacks the protected bits of one flip site: algebraic decisions
+// on every bit, the fallback for the ⊥ bits, then the validation /
+// correction loop over the pending group (Algorithm 2 lines 4–10). The
+// scheme enters twice: it picks the bit test, and since only a sign flip
+// can be softened, only negation sends ⊥ bits to the learning attack and
+// relearns after an exhausted correction. The site span always ends — the
+// success paths end it explicitly with annotations, and the deferred End
+// (a no-op after an explicit one) covers the error returns, so an aborted
+// run still exports the partial site record instead of truncating the
+// trace.
 func (a *Attack) runSite(site int, bits []int, pending *sitePending, rng *rand.Rand) (SiteReport, error) {
 	rep := SiteReport{Site: site, Bits: len(bits)}
 	ssp := a.root.Child("site", obs.Int("site", site), obs.Int("bits", len(bits)))
 	defer ssp.End()
+	negation := a.spec.Scheme == hpnn.Negation
 
-	// Phase 1: algebraic inference (Algorithm 1) on every bit, in
-	// parallel across neurons (§4.1).
+	// Phase 1: algebraic decisions on every bit, in parallel across
+	// neurons (§4.1): Algorithm 1 under negation, candidate-hyperplane
+	// testing under the §3.9 variants.
 	inferred := make([]bitValue, len(bits))
 	if a.cfg.DisableAlgebraic {
 		for i := range inferred {
@@ -152,7 +193,11 @@ func (a *Attack) runSite(site int, bits []int, pending *sitePending, rng *rand.R
 		a.trackProc(ssp, metrics.ProcKeyBitInference, func() {
 			inferErr = a.parallelForErr(len(bits), rng.Int63(), func(i int, wrng *rand.Rand) error {
 				var err error
-				inferred[i], err = a.keyBitInference(bits[i], wrng)
+				if negation {
+					inferred[i], err = a.keyBitInference(bits[i], wrng)
+				} else {
+					inferred[i], err = a.hypothesisTestBit(bits[i], wrng)
+				}
 				return err
 			})
 		})
@@ -173,8 +218,15 @@ func (a *Attack) runSite(site int, bits []int, pending *sitePending, rng *rand.R
 	a.log.Debug("site inferred", "site", site, "bits", len(bits),
 		"algebraic", rep.Algebraic, "unresolved", len(unresolved))
 
-	// Phase 2: learning attack on the ⊥ bits (§3.6).
-	if len(unresolved) > 0 {
+	// Phase 2: the ⊥ bits. Negation learns them (§3.6); a variant bit
+	// defaults to 0 with no confidence, for validation and correction to
+	// repair.
+	switch {
+	case !negation:
+		for _, b := range unresolved {
+			a.setBit(b, false, 0, OriginUnknown)
+		}
+	case len(unresolved) > 0:
 		var learnErr error
 		a.trackProc(ssp, metrics.ProcLearningAttack, func() {
 			_, learnErr = a.learningAttack(site, unresolved, rng)
@@ -227,9 +279,12 @@ func (a *Attack) runSite(site int, bits []int, pending *sitePending, rng *rand.R
 		}
 		// Correction exhausted its Hamming budget: re-run the learning
 		// attack with a doubled query budget on the least certain bits
-		// before trying again.
+		// before trying again (a variant validates and corrects again).
 		if round == a.cfg.MaxCorrectionRounds {
 			return rep, fmt.Errorf("core: site %d failed validation after %d correction rounds", site, round+1)
+		}
+		if !negation {
+			continue
 		}
 		learnQueries *= 2
 		relearn := lowConfidenceBits(a, pending.bits)

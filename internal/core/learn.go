@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"time"
 
 	"dnnlock/internal/dataset"
 	"dnnlock/internal/hpnn"
@@ -308,36 +307,19 @@ type MonolithicReport struct {
 func Monolithic(white *nn.Network, spec hpnn.LockSpec, orc oracle.Interface, cfg Config,
 	monitor func(epoch int, key hpnn.Key) bool) (*MonolithicReport, error) {
 
-	cfg = cfg.withDefaults()
-	//lint:ignore determinism telemetry timer for Result.Time; the value never feeds the numerics
-	start := time.Now()
-	startQ := orc.Queries()
-	startR := orc.Rounds()
-	startS := simElapsed(orc)
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	a := New(white, spec, orc, cfg)
+	seg := a.startSegment()
+	rng := rand.New(rand.NewSource(a.cfg.Seed))
 
 	// The baseline is one long learning phase: a single ledger entry and,
 	// when traced, a single proc-labelled span under its own anchor, like
 	// one phase of the decryption attack.
-	root := startRoot(cfg, "monolithic", obs.Int("bits", spec.NumBits()))
+	root := startRoot(a.cfg, "monolithic", obs.Int("bits", spec.NumBits()))
+	a.root = root
 	defer root.End()
-	ph := root.Child(string(metrics.ProcLearningAttack), obs.Proc(metrics.ProcLearningAttack))
-	// Ended explicitly on success after its counters land; the defer (End is
-	// idempotent) covers the error return so the phase record still exports.
-	defer ph.End()
 
-	net := white.CloneForKeys()
 	// All bits participate; group by site.
-	bySite := spec.SiteBits()
-	sites := soften(net, &spec, bySite)
-
-	x := dataset.UniformInputs(cfg.LearnQueries, net.InSize(), cfg.InputLim, rng)
-	y, err := queryBatchRetry(orc, x, cfg.QueryRetries, nil)
-	if err != nil {
-		tensor.PutMatrix(x)
-		return nil, fmt.Errorf("core: monolithic labelling failed: %w", err)
-	}
-
+	sites := soften(a.white, &a.spec, a.spec.SiteBits())
 	rep := &MonolithicReport{}
 	readKey := func() hpnn.Key {
 		key := make(hpnn.Key, spec.NumBits())
@@ -349,46 +331,37 @@ func Monolithic(white *nn.Network, spec hpnn.LockSpec, orc oracle.Interface, cfg
 		}
 		return key
 	}
-	fitSoft(net, sites, x, y, cfg, rng, orc.Softmax(), func(epoch int, loss float64) bool {
-		rep.Epochs = epoch + 1
-		rep.Losses = append(rep.Losses, loss)
-		if monitor != nil {
-			return monitor(epoch, readKey())
+	var err error
+	a.trackProc(root, metrics.ProcLearningAttack, func() {
+		x := dataset.UniformInputs(a.cfg.LearnQueries, a.white.InSize(), a.cfg.InputLim, rng)
+		var y *tensor.Matrix
+		y, err = queryBatchRetry(a.orc, x, a.cfg.QueryRetries, nil)
+		if err != nil {
+			tensor.PutMatrix(x)
+			return
 		}
-		return true
+		fitSoft(a.white, sites, x, y, a.cfg, rng, a.orc.Softmax(), func(epoch int, loss float64) bool {
+			rep.Epochs = epoch + 1
+			rep.Losses = append(rep.Losses, loss)
+			if monitor != nil {
+				return monitor(epoch, readKey())
+			}
+			return true
+		})
+		tensor.PutMatrix(x, y)
 	})
-	tensor.PutMatrix(x, y)
+	if err != nil {
+		return nil, fmt.Errorf("core: monolithic labelling failed: %w", err)
+	}
 
-	key := make(hpnn.Key, spec.NumBits())
-	origins := make([]BitOrigin, spec.NumBits())
 	for _, s := range sites {
-		s.flip.Harden()
-		for _, si := range s.specIdxs {
-			key[si] = s.flip.Bit(spec.Neurons[si].Index)
-			origins[si] = OriginLearning
+		confs := s.flip.Harden()
+		for i, si := range s.specIdxs {
+			a.setBit(si, s.flip.Bit(spec.Neurons[si].Index), confs[i], OriginLearning)
 		}
 	}
-	bd := metrics.NewBreakdown()
-	rep.Result = Result{
-		Key:     key,
-		Origins: origins,
-		Queries: orc.Queries() - startQ,
-		Rounds:  orc.Rounds() - startR,
-		//lint:ignore determinism telemetry: elapsed wall time reported to the operator, not used in computation
-		Time:      time.Since(start),
-		SimTime:   simElapsed(orc) - startS,
-		Breakdown: bd,
-	}
-	bd.AddPhase(metrics.ProcLearningAttack, rep.Time, rep.Queries, rep.Rounds, rep.SimTime)
-	ph.AddQueries(rep.Queries)
-	ph.AddRounds(rep.Rounds)
-	ph.AddSimNS(int64(rep.SimTime))
-	ph.End()
+	rep.Result = *a.result(&resumeBase{}, seg)
 	root.End(obs.Int("epochs", rep.Epochs), obs.Int64("queries", rep.Queries),
 		obs.Int64("rounds", rep.Rounds))
-	ledger := bd.Snapshot()
-	rep.QueriesByProc = ledger.Queries
-	rep.RoundsByProc = ledger.Rounds
-	rep.SimByProc = ledger.Sim
 	return rep, nil
 }

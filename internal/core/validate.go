@@ -462,10 +462,7 @@ func (a *Attack) directCompare(sp *obs.Span, net *nn.Network, rng *rand.Rand) (b
 		if err != nil {
 			return false, err
 		}
-		yw := net.Forward(x)
-		if a.orc.Softmax() {
-			yw = tensor.Softmax(yw)
-		}
+		yw := a.predict(net, x)
 		tol := a.cfg.EquivTol*(1+tensor.NormInf(yo)) + a.cfg.oracleTol()
 		if tensor.NormInf(tensor.VecSub(yo, yw)) > tol {
 			return false, nil

@@ -1,21 +1,19 @@
 package core
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
-	"time"
 
 	"dnnlock/internal/hpnn"
-	"dnnlock/internal/metrics"
 	"dnnlock/internal/nn"
 	"dnnlock/internal/obs"
-	"dnnlock/internal/oracle"
 	"dnnlock/internal/tensor"
 )
 
-// RunVariant attacks the §3.9 locking variants. Every variant reduces to
-// candidate-hyperplane testing:
+// hypothesisTestBit decides one §3.9 variant key bit by
+// candidate-hyperplane testing: under each hypothesis b it locates a
+// hyperplane witness the other hypothesis cannot explain, then asks the
+// oracle which witness shows a kink.
 //
 //   - bias-shift and weight-perturbation keys move the protected neuron's
 //     own hyperplane, so each key hypothesis predicts a different critical
@@ -27,160 +25,7 @@ import (
 //     where the protected neuron is active — so the same kink test applied
 //     one layer later selects the hypothesis.
 //
-// Bits the tests cannot decide are defaulted and repaired by the shared
-// validation / error-correction loop of Algorithm 2.
-func RunVariant(whiteBox *nn.Network, spec hpnn.LockSpec, orc oracle.Interface, cfg Config) (*Result, error) {
-	if spec.Scheme == hpnn.Negation {
-		return Run(whiteBox, spec, orc, cfg)
-	}
-	a := New(whiteBox, spec, orc, cfg)
-	return a.runVariant()
-}
-
-func (a *Attack) runVariant() (*Result, error) {
-	//lint:ignore determinism telemetry timer for Result.Time; the value never feeds the numerics
-	start := time.Now()
-	startQ := a.orc.Queries()
-	startR := a.orc.Rounds()
-	startS := simElapsed(a.orc)
-	root := startRoot(a.cfg, "attack_variant", obs.Int("bits", a.spec.NumBits()),
-		obs.Int("scheme", int(a.spec.Scheme)))
-	a.root = root
-	defer root.End() // idempotent: the success path ends it with annotations
-	rng := rand.New(rand.NewSource(a.cfg.Seed))
-	bySite := a.spec.SiteBits()
-
-	var reports []SiteReport
-	var pending sitePending
-	for _, site := range a.orderedSites() {
-		rep, err := a.runVariantSite(root, site, bySite[site], &pending, rng)
-		if err != nil {
-			return nil, err
-		}
-		reports = append(reports, rep)
-	}
-
-	fsp := root.Child("final_check")
-	eq, eqErr := a.directCompare(fsp, a.white, rng)
-	fsp.End(obs.Bool("equivalent", eq))
-	ledger := a.bd.Snapshot()
-	res := &Result{
-		Key:     a.CurrentKey(),
-		Origins: append([]BitOrigin(nil), a.origins...),
-		Queries: a.orc.Queries() - startQ,
-		Rounds:  a.orc.Rounds() - startR,
-		//lint:ignore determinism telemetry: elapsed wall time reported to the operator, not used in computation
-		Time:          time.Since(start),
-		SimTime:       simElapsed(a.orc) - startS,
-		Breakdown:     a.bd,
-		QueriesByProc: ledger.Queries,
-		RoundsByProc:  ledger.Rounds,
-		SimByProc:     ledger.Sim,
-		Sites:         reports,
-		Equivalent:    eq,
-		Degraded:      int(a.degraded.Load()),
-		BisectRounds:  a.crit.rounds.Load(),
-		BisectProbes:  a.crit.probes.Load(),
-	}
-	root.End(obs.Int64("queries", res.Queries), obs.Int64("rounds", res.Rounds),
-		obs.Bool("equivalent", res.Equivalent))
-	if eqErr != nil {
-		return res, fmt.Errorf("core: variant equivalence check: %w", eqErr)
-	}
-	if !res.Equivalent {
-		return res, fmt.Errorf("core: recovered variant key is not functionally equivalent to the oracle")
-	}
-	return res, nil
-}
-
-// runVariantSite attacks the protected bits of one flip site of the
-// variant scheme: hypothesis tests on every bit, then the validation /
-// correction loop over the pending group. Mirrors runSite, including its
-// span discipline: the success paths end the site span with annotations,
-// and the deferred End (idempotent) covers the error returns so an aborted
-// run still exports the partial site record.
-func (a *Attack) runVariantSite(root *obs.Span, site int, bits []int, pending *sitePending, rng *rand.Rand) (SiteReport, error) {
-	rep := SiteReport{Site: site, Bits: len(bits)}
-	ssp := root.Child("site", obs.Int("site", site), obs.Int("bits", len(bits)))
-	defer ssp.End()
-
-	inferred := make([]bitValue, len(bits))
-	var inferErr error
-	a.trackProc(ssp, metrics.ProcKeyBitInference, func() {
-		inferErr = a.parallelForErr(len(bits), rng.Int63(), func(i int, wrng *rand.Rand) error {
-			var err error
-			inferred[i], err = a.hypothesisTestBit(bits[i], wrng)
-			return err
-		})
-	})
-	if inferErr != nil {
-		return rep, fmt.Errorf("core: variant site %d hypothesis tests: %w", site, inferErr)
-	}
-	for i, v := range inferred {
-		switch v {
-		case bitZero, bitOne:
-			a.setBit(bits[i], v == bitOne, 1, OriginAlgebraic)
-			rep.Algebraic++
-		default:
-			// Undecided: default to 0 with no confidence; the
-			// validation / correction loop repairs mistakes.
-			a.setBit(bits[i], false, 0, OriginUnknown)
-		}
-	}
-	a.log.Debug("variant site tested", "site", site, "bits", len(bits),
-		"decided", rep.Algebraic)
-
-	pending.bits = append(pending.bits, bits...)
-	pending.sites = append(pending.sites, site)
-	if _, mode := a.validationProbe(pending.sites); mode == modeDefer {
-		ssp.End(obs.Bool("deferred", true))
-		return rep, nil
-	}
-	valid := false
-	for round := 0; round <= a.cfg.MaxCorrectionRounds; round++ {
-		var valErr error
-		a.trackProc(ssp, metrics.ProcKeyVectorValidation, func() {
-			rep.ValidationRuns++
-			valid, valErr = a.keyVectorValidation(a.white, pending.sites, rng)
-		})
-		if valErr != nil {
-			return rep, fmt.Errorf("core: variant site %d key_vector_validation: %w", site, valErr)
-		}
-		if valid {
-			break
-		}
-		fixed := false
-		var corrErr error
-		a.trackProc(ssp, metrics.ProcErrorCorrection, func() {
-			fixed, corrErr = a.errorCorrection(pending.sites, a.decidedBits(), rng)
-		})
-		if corrErr != nil {
-			return rep, fmt.Errorf("core: variant site %d error_correction: %w", site, corrErr)
-		}
-		if fixed {
-			// The committed candidate already passed validation inside
-			// errorCorrection.
-			rep.Corrected++
-			valid = true
-			break
-		}
-		if round == a.cfg.MaxCorrectionRounds {
-			return rep, fmt.Errorf("core: variant site %d failed validation", site)
-		}
-	}
-	if !valid {
-		return rep, fmt.Errorf("core: variant site %d failed validation", site)
-	}
-	pending.bits = pending.bits[:0]
-	pending.sites = pending.sites[:0]
-	ssp.End(obs.Int("decided", rep.Algebraic), obs.Int("corrected", rep.Corrected))
-	return rep, nil
-}
-
-// hypothesisTestBit decides one variant key bit by candidate-hyperplane
-// testing: under each hypothesis b it locates a hyperplane witness the
-// other hypothesis cannot explain, then asks the oracle which witness shows
-// a kink. Persistent transient oracle failures degrade the bit to ⊥ (the
+// Persistent transient oracle failures degrade the bit to ⊥ (the
 // validation/correction loop repairs it); terminal errors propagate.
 func (a *Attack) hypothesisTestBit(specIdx int, rng *rand.Rand) (bitValue, error) {
 	bsp := a.phase.Child("bit", obs.Int("bit", specIdx))
@@ -213,7 +58,7 @@ func (a *Attack) ownHyperplaneTest(bsp *obs.Span, specIdx int, rng *rand.Rand) (
 		kink := [2]bool{}
 		found := [2]bool{}
 		for b := 0; b < 2; b++ {
-			x0, ok := a.distinguishableCritical(cands[b], cands[1-b], pn.Site, pn.Index, rng)
+			x0, ok := a.distinguishableCritical(cands[b], cands[1-b], nil, pn.Site, pn.Index, rng)
 			if !ok {
 				continue
 			}
@@ -224,19 +69,32 @@ func (a *Attack) ownHyperplaneTest(bsp *obs.Span, specIdx int, rng *rand.Rand) (
 				return bitBottom, err
 			}
 		}
-		switch {
-		case found[0] && found[1] && kink[0] != kink[1]:
-			if kink[1] {
-				return bitOne, nil
-			}
-			return bitZero, nil
-		case found[0] && !found[1] && kink[0]:
-			return bitZero, nil
-		case found[1] && !found[0] && kink[1]:
-			return bitOne, nil
+		if bit := kinkDecision(found, kink); bit != bitBottom {
+			return bit, nil
 		}
 	}
 	return bitBottom, nil
+}
+
+// kinkDecision reads one round of witness tests: found[b] reports whether
+// hypothesis b's witness exists, kink[b] whether the oracle kinks there.
+// Two-sided disagreement decides outright; a one-sided witness decides on
+// positive evidence only (the oracle kinks where just one hypothesis
+// predicts a kink) — absence of a kink is not trusted, since the witness
+// may be unobservable through the remaining layers.
+func kinkDecision(found, kink [2]bool) bitValue {
+	switch {
+	case found[0] && found[1] && kink[0] != kink[1]:
+		if kink[1] {
+			return bitOne
+		}
+		return bitZero
+	case found[0] && !found[1] && kink[0]:
+		return bitZero
+	case found[1] && !found[0] && kink[1]:
+		return bitOne
+	}
+	return bitBottom
 }
 
 // fanOutTest handles scaling bits: it probes neurons of the next lockable
@@ -259,35 +117,22 @@ func (a *Attack) fanOutTest(bsp *obs.Span, specIdx int, rng *rand.Rand) (bitValu
 		probes = probes[:a.cfg.MaxCriticalTries*3]
 	}
 	for _, k := range probes {
-		kinkV := [2]bool{}
+		kink := [2]bool{}
 		found := [2]bool{}
 		for b := 0; b < 2; b++ {
-			x0, ok := a.activeDistinguishableCritical(cands[b], cands[1-b], pn, next, k, rng)
+			x0, ok := a.distinguishableCritical(cands[b], cands[1-b], &pn, next, k, rng)
 			if !ok {
 				continue
 			}
 			found[b] = true
 			var err error
-			kinkV[b], err = a.kinkAt(bsp, cands[b], x0, gate, k, rng)
+			kink[b], err = a.kinkAt(bsp, cands[b], x0, gate, k, rng)
 			if err != nil {
 				return bitBottom, err
 			}
 		}
-		// Two-sided disagreement decides outright; a one-sided witness
-		// decides on positive evidence only (the oracle kinks where just one
-		// hypothesis predicts a kink), mirroring ownHyperplaneTest — absence
-		// of a kink is not trusted, since the witness may be unobservable
-		// through the remaining layers.
-		switch {
-		case found[0] && found[1] && kinkV[0] != kinkV[1]:
-			if kinkV[1] {
-				return bitOne, nil
-			}
-			return bitZero, nil
-		case found[0] && !found[1] && kinkV[0]:
-			return bitZero, nil
-		case found[1] && !found[0] && kinkV[1]:
-			return bitOne, nil
+		if bit := kinkDecision(found, kink); bit != bitBottom {
+			return bit, nil
 		}
 	}
 	return bitBottom, nil
@@ -324,31 +169,105 @@ func (a *Attack) lastLayerSlopeTest(bsp *obs.Span, specIdx int, rng *rand.Rand) 
 		}
 		dOracle := tensor.VecSub(yb.Row(0), yb.Row(1))
 		tensor.PutMatrix(yb)
-		err := [2]float64{}
+		var miss [2]float64
 		for b := 0; b < 2; b++ {
-			fwd := func(x []float64) []float64 {
-				y := cands[b].Forward(x)
-				if a.orc.Softmax() {
-					return tensor.Softmax(y)
-				}
-				return y
-			}
-			dPred := tensor.VecSub(fwd(xp), fwd(x0))
-			err[b] = tensor.NormInf(tensor.VecSub(dPred, dOracle))
+			dPred := tensor.VecSub(a.predict(cands[b], xp), a.predict(cands[b], x0))
+			miss[b] = tensor.NormInf(tensor.VecSub(dPred, dOracle))
 		}
-		// Require a decisive margin between the hypotheses.
-		lo, hi := err[0], err[1]
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		if hi > a.cfg.DecisionRatio*lo && hi > a.absChange() {
-			if err[0] < err[1] {
-				return bitZero, nil
-			}
-			return bitOne, nil
+		if bit := a.decisive(miss); bit != bitBottom {
+			return bit, nil
 		}
 	}
 	return bitBottom, nil
+}
+
+// decisive picks the hypothesis whose prediction misses the oracle by less,
+// miss[b] being hypothesis b's largest miss, when the margin is decisive:
+// the other miss is DecisionRatio times larger and a real change
+// (absChange). Otherwise it returns ⊥.
+func (a *Attack) decisive(miss [2]float64) bitValue {
+	lo, hi := miss[0], miss[1]
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	if hi > a.cfg.DecisionRatio*lo && hi > a.absChange() {
+		if miss[0] < miss[1] {
+			return bitZero
+		}
+		return bitOne
+	}
+	return bitBottom
+}
+
+// settleUnknown decides, against the oracle, every bit that no test
+// decided (origin unknown: a variant bit its hypothesis tests left at ⊥
+// and validation accepted at its default). Validation passes such a bit
+// whenever its two hypotheses agree on the probed hyperplanes, and the
+// inputs where they disagree are rare — they form a cone, often under 1%
+// of the input box — so the final check's few samples miss them too. For
+// each such bit, among up to LearnQueries×ValidationSamples uniform
+// white-box draws it keeps the first ValidationSamples inputs where the
+// hypotheses' outputs differ by a real change (absChange), sends them as
+// one batch, and keeps the hypothesis that matches the oracle decisively,
+// as a correction. A bit it cannot settle stays unknown, which fails Run;
+// so does a terminal oracle error, while a transient one that outlasts the
+// retries only leaves the bit unsettled.
+func (a *Attack) settleUnknown(rng *rand.Rand) error {
+	p := a.white.InSize()
+	draws := a.cfg.LearnQueries * a.cfg.ValidationSamples
+	for i, o := range a.origins {
+		if o != OriginUnknown {
+			continue
+		}
+		cands := a.hypothesisPair(i)
+		var xs [][]float64
+		for d := 0; d < draws && len(xs) < a.cfg.ValidationSamples; d++ {
+			x := randomPoint(p, a.cfg.InputLim, rng)
+			if tensor.NormInf(tensor.VecSub(a.predict(cands[0], x), a.predict(cands[1], x))) > a.absChange() {
+				xs = append(xs, x)
+			}
+		}
+		if len(xs) == 0 {
+			continue
+		}
+		xb := tensor.GetMatrix(len(xs), p)
+		for k, x := range xs {
+			xb.SetRow(k, x)
+		}
+		sp := a.phase.Child("settle", obs.Int("bit", i), obs.Int("inputs", len(xs)))
+		yb, err := a.multi(sp, xb)
+		tensor.PutMatrix(xb)
+		if err != nil {
+			sp.End(obs.String("outcome", "degraded"))
+			if err = a.fallthroughBottom(err); err != nil {
+				return err
+			}
+			continue
+		}
+		var miss [2]float64
+		for k, x := range xs {
+			for b := range miss {
+				miss[b] = math.Max(miss[b], tensor.NormInf(tensor.VecSub(a.predict(cands[b], x), yb.Row(k))))
+			}
+		}
+		tensor.PutMatrix(yb)
+		bit := a.decisive(miss)
+		sp.End(obs.String("outcome", bit.String()))
+		if bit != bitBottom {
+			a.setBit(i, bit == bitOne, 1, OriginCorrection)
+		}
+	}
+	return nil
+}
+
+// predict is net's answer to x in the oracle's output space: its logits,
+// or their softmax when the oracle exposes probabilities.
+func (a *Attack) predict(net *nn.Network, x []float64) []float64 {
+	y := net.Forward(x)
+	if a.orc.Softmax() {
+		return tensor.Softmax(y)
+	}
+	return y
 }
 
 // hypothesisPair clones the white box under both values of one bit.
@@ -365,22 +284,9 @@ func (a *Attack) hypothesisPair(specIdx int) [2]*nn.Network {
 
 // distinguishableCritical finds a critical point of (site, idx) on net such
 // that the alternative hypothesis net is far from critical there — i.e. a
-// witness only one hypothesis can explain.
-func (a *Attack) distinguishableCritical(net, alt *nn.Network, site, idx int, rng *rand.Rand) ([]float64, bool) {
-	for try := 0; try < a.cfg.MaxCriticalTries; try++ {
-		x0, ok := searchCriticalPoint(net, site, idx, a.cfg, rng)
-		if !ok {
-			return nil, false
-		}
-		if math.Abs(postAct(alt, x0, site, idx)) > a.variantMargin() {
-			return x0, true
-		}
-	}
-	return nil, false
-}
-
-// activeDistinguishableCritical is distinguishableCritical with two extra
-// scaling-specific requirements on the witness:
+// witness only one hypothesis can explain. With up non-nil (scaling's
+// fan-out test, up the protected upstream neuron), the witness must also
+// satisfy two activity requirements:
 //
 //   - the protected upstream neuron is active (otherwise α^K is muted by
 //     the ReLU and the hypotheses coincide), and
@@ -392,16 +298,13 @@ func (a *Attack) distinguishableCritical(net, alt *nn.Network, site, idx int, rn
 //     With the cone restricted to regions where only the bit under test
 //     fans out, the clones agree with the true function up to that single
 //     bit, and the kink test is sound.
-func (a *Attack) activeDistinguishableCritical(net, alt *nn.Network, up hpnn.ProtectedNeuron, site, idx int, rng *rand.Rand) ([]float64, bool) {
+func (a *Attack) distinguishableCritical(net, alt *nn.Network, up *hpnn.ProtectedNeuron, site, idx int, rng *rand.Rand) ([]float64, bool) {
 	for try := 0; try < a.cfg.MaxCriticalTries; try++ {
 		x0, ok := searchCriticalPoint(net, site, idx, a.cfg, rng)
 		if !ok {
 			return nil, false
 		}
-		if postAct(net, x0, up.Site, up.Index) <= 0 {
-			continue
-		}
-		if !a.othersMuted(net, x0, up) {
+		if up != nil && (postAct(net, x0, up.Site, up.Index) <= 0 || !a.othersMuted(net, x0, *up)) {
 			continue
 		}
 		if math.Abs(postAct(alt, x0, site, idx)) > a.variantMargin() {

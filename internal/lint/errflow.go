@@ -43,7 +43,10 @@ var errSources = map[string]map[string]bool{
 		"Run":            true, "Monolithic": true, "Resume": true, "runFrom": true,
 		"runSite": true, "relearnBySite": true,
 		"keyBitInference": true, "keyBitInferenceSpanned": true, "probeBit": true,
-		"learningAttack": true, "errorCorrection": true,
+		"hypothesisTestBit": true, "ownHyperplaneTest": true, "fanOutTest": true,
+		"lastLayerSlopeTest": true, "kinkAt": true,
+		"learningAttack": true, "keyVectorValidation": true, "directCompare": true,
+		"errorCorrection": true, "settleUnknown": true,
 	},
 	"dnnlock/internal/harness": {"RunTable1": true, "RunRobustness": true},
 }
