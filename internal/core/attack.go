@@ -195,17 +195,19 @@ func (a *Attack) orderedSites() []int {
 
 // parallelFor runs fn(i) for i in [0, n) on the configured worker count.
 // Each invocation receives an RNG seeded with seedBase+i, so its stream
-// depends on the index alone. A worker reseeds one RNG per index rather
-// than allocating a fresh source; fn must not keep the RNG past its return.
+// depends on the index alone. A worker takes one RNG from rngPool and
+// reseeds it per index rather than allocating a fresh source; fn must not
+// keep the RNG past its return.
 func (a *Attack) parallelFor(n int, seedBase int64, fn func(i int, rng *rand.Rand)) {
 	workers := a.cfg.Workers
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
-		var rng *rand.Rand
+		rng := rngPool.Get().(*rand.Rand)
+		defer rngPool.Put(rng)
 		for i := 0; i < n; i++ {
-			rng = reseed(rng, seedBase+int64(i))
+			rng.Seed(seedBase + int64(i))
 			fn(i, rng)
 		}
 		return
@@ -217,10 +219,11 @@ func (a *Attack) parallelFor(n int, seedBase int64, fn func(i int, rng *rand.Ran
 		//lint:ignore nakedgo deliberate fan-out sized by cfg.Workers; each index writes disjoint state
 		go func() {
 			defer wg.Done()
-			var rng *rand.Rand
+			rng := rngPool.Get().(*rand.Rand)
+			defer rngPool.Put(rng)
 			//lint:ignore determinism work-distribution queue: fn(i) is seeded per index and indices write disjoint state, so arrival order cannot affect results
 			for i := range next {
-				rng = reseed(rng, seedBase+int64(i))
+				rng.Seed(seedBase + int64(i))
 				fn(i, rng)
 			}
 		}()
@@ -232,16 +235,11 @@ func (a *Attack) parallelFor(n int, seedBase int64, fn func(i int, rng *rand.Ran
 	wg.Wait()
 }
 
-// reseed returns rng reset to the stream of rand.NewSource(seed), creating
-// it on first use. Rand.Seed resets the source and the Read position, so a
-// reseeded RNG draws exactly what a fresh one would.
-func reseed(rng *rand.Rand, seed int64) *rand.Rand {
-	if rng == nil {
-		return rand.New(rand.NewSource(seed))
-	}
-	rng.Seed(seed)
-	return rng
-}
+// rngPool recycles the per-index generators of parallelFor and error
+// correction. Rand.Seed resets the source and the Read position, so a
+// reseeded generator draws exactly what rand.New(rand.NewSource(seed))
+// would.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
 
 // parallelForErr is parallelFor for bodies that can fail. All indices run
 // (workers do not stop early), and the lowest-index error is returned so the

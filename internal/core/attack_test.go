@@ -68,6 +68,28 @@ func TestParallelForDeterministicRNGSeeds(t *testing.T) {
 	}
 }
 
+// raceEnabled is set under -race (race_test.go): the race detector makes
+// sync.Pool drop a random share of Puts, so pooled-allocation bounds
+// cannot hold there.
+var raceEnabled bool
+
+// TestParallelForAllocFree pins the pooled generators: with one worker, a
+// steady-state parallelFor call allocates nothing, because its generator
+// comes from rngPool and is reseeded per index instead of being built
+// around a fresh source.
+func TestParallelForAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop a share of released generators")
+	}
+	a, _, _ := attackWithTrueKey(t, 403, 4)
+	a.cfg.Workers = 1
+	var sum float64
+	body := func(i int, rng *rand.Rand) { sum += rng.Float64() }
+	if allocs := testing.AllocsPerRun(100, func() { a.parallelFor(8, 5, body) }); allocs != 0 {
+		t.Errorf("a one-worker parallelFor call allocates %.0f times", allocs)
+	}
+}
+
 // TestDecryptParallelWorkersMatchSerial: the worker count (§4.1) is an
 // implementation detail, not a semantics change. The recovered key and
 // every oracle count, rounds included, are identical at any width, on a

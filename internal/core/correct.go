@@ -26,13 +26,14 @@ func (a *Attack) errorCorrection(groupSites, groupBits []int, rng *rand.Rand) (b
 	if len(pool) > a.cfg.CorrectionPool {
 		pool = pool[:a.cfg.CorrectionPool]
 	}
-	var crng *rand.Rand
+	crng := rngPool.Get().(*rand.Rand)
+	defer rngPool.Put(crng)
 	for h := 1; h <= a.cfg.MaxCorrectionHamming && h <= len(pool); h++ {
 		combos := combinations(len(pool), h)
 		seedBase := rng.Int63()
 		var firstErr error
 		for ci, combo := range combos {
-			crng = reseed(crng, seedBase+int64(ci))
+			crng.Seed(seedBase + int64(ci))
 			cand := a.applier.clone(a.white)
 			for _, pi := range combo {
 				si := pool[pi]

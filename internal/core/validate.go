@@ -449,22 +449,45 @@ func secondDifferenceOf(f func([]float64) []float64, x, v []float64, d float64) 
 }
 
 // directCompare checks functional equivalence between the candidate
-// network and the oracle on random inputs. The tolerance carries the
-// declared oracle degradation (cfg.oracleTol): under noise or quantization
-// the oracle's answer legitimately strays from the true function by that
-// much, and without the pad a perfectly recovered key would be rejected.
-// The pad is exactly zero for a clean oracle.
+// network and the oracle on ValidationSamples random inputs. The first
+// input screens the candidate alone, in a one-row batch: a wrong key
+// usually fails there, at one query in one round. Only if it matches are
+// the remaining inputs drawn, from the same rng in the same order, and
+// sent as one batch, so a passing comparison costs two rounds. The
+// tolerance carries the declared oracle degradation (cfg.oracleTol): under
+// noise or quantization the oracle's answer legitimately strays from the
+// true function by that much, and without the pad a perfectly recovered
+// key would be rejected. The pad is exactly zero for a clean oracle.
 func (a *Attack) directCompare(sp *obs.Span, net *nn.Network, rng *rand.Rand) (bool, error) {
-	p := net.InSize()
-	for i := 0; i < a.cfg.ValidationSamples; i++ {
-		x := randomPoint(p, a.cfg.InputLim, rng)
-		yo, err := a.query(sp, x)
-		if err != nil {
-			return false, err
-		}
-		yw := a.predict(net, x)
+	screen := min(1, a.cfg.ValidationSamples)
+	eq, err := a.compareSamples(sp, net, screen, rng)
+	if !eq || err != nil {
+		return eq, err
+	}
+	return a.compareSamples(sp, net, a.cfg.ValidationSamples-screen, rng)
+}
+
+// compareSamples draws n random inputs, sends them to the oracle as one
+// batch, and reports whether net matches every answer within tolerance.
+// It sends nothing for n ≤ 0.
+func (a *Attack) compareSamples(sp *obs.Span, net *nn.Network, n int, rng *rand.Rand) (bool, error) {
+	if n <= 0 {
+		return true, nil
+	}
+	x := tensor.GetMatrix(n, net.InSize())
+	defer tensor.PutMatrix(x)
+	for r := 0; r < n; r++ {
+		fillRandomPoint(x.Row(r), a.cfg.InputLim, rng)
+	}
+	y, err := a.multi(sp, x)
+	if err != nil {
+		return false, err
+	}
+	defer tensor.PutMatrix(y)
+	for r := 0; r < n; r++ {
+		yo := y.Row(r)
 		tol := a.cfg.EquivTol*(1+tensor.NormInf(yo)) + a.cfg.oracleTol()
-		if tensor.NormInf(tensor.VecSub(yo, yw)) > tol {
+		if tensor.NormInf(tensor.VecSub(yo, a.predict(net, x.Row(r)))) > tol {
 			return false, nil
 		}
 	}

@@ -254,25 +254,39 @@ func TestValidationProbeDefersInsideResidualBlock(t *testing.T) {
 	}
 }
 
+// TestDirectCompareTolerance checks both outcomes of a direct comparison
+// and what each costs at the oracle: the exact network passes after its
+// screening input and one batch of the rest, ValidationSamples queries in
+// 2 rounds; a wrong final-layer bit fails on the screening input, 1 query
+// in 1 round.
 func TestDirectCompareTolerance(t *testing.T) {
-	a, key, _ := attackWithTrueKey(t, 312, 4)
+	a, key, bySite := attackWithTrueKey(t, 312, 4)
 	for si := range key {
 		a.setBit(si, key[si], 1, OriginAlgebraic)
 	}
-	rng := rand.New(rand.NewSource(313))
-	ok, err := a.directCompare(nil, a.white, rng)
-	if err != nil {
-		t.Fatal(err)
+	compare := func() (ok bool, queries, rounds int64) {
+		t.Helper()
+		q0, r0 := a.orc.Queries(), a.orc.Rounds()
+		ok, err := a.directCompare(nil, a.white, rand.New(rand.NewSource(313)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ok, a.orc.Queries() - q0, a.orc.Rounds() - r0
 	}
+	ok, q, r := compare()
 	if !ok {
 		t.Fatal("direct compare rejected the exact network")
 	}
-	a.setBit(0, !key[0], 1, OriginAlgebraic)
-	ok, err = a.directCompare(nil, a.white, rng)
-	if err != nil {
-		t.Fatal(err)
+	if n := int64(a.cfg.ValidationSamples); q != n || r != 2 {
+		t.Errorf("passing comparison cost %d queries in %d rounds, want %d in 2", q, r, n)
 	}
+	last := bySite[a.white.NumFlipSites()-1][0]
+	a.setBit(last, !key[last], 1, OriginAlgebraic)
+	ok, q, r = compare()
 	if ok {
 		t.Fatal("direct compare accepted a wrong key")
+	}
+	if q != 1 || r != 1 {
+		t.Errorf("failing comparison cost %d queries in %d rounds, want 1 in 1", q, r)
 	}
 }

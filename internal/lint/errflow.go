@@ -36,8 +36,7 @@ var ErrFlow = &Analyzer{
 var errSources = map[string]map[string]bool{
 	"dnnlock/internal/oracle": {"Query": true, "QueryBatch": true},
 	"dnnlock/internal/core": {
-		"query": true, "multi": true,
-		"queryRetry": true, "queryBatchRetry": true,
+		"multi": true, "queryBatchRetry": true,
 		"kinkVotes": true, "sendVotes": true,
 		"parallelForErr": true,
 		"Run":            true, "Monolithic": true, "Resume": true, "runFrom": true,

@@ -9,8 +9,8 @@ import (
 // QuerySeam enforces the oracle query-planner boundary (DESIGN.md §14):
 // inside dnnlock/internal/core, nothing may call the oracle's Query or
 // QueryBatch methods directly — every probe must route through the planner
-// seam in planner.go (a.query / a.multi, and the retry helpers they
-// wrap). A raw call would bypass multi-point batching and
+// seam in planner.go, whose one oracle path is a.multi (and the retry
+// helper it wraps). A raw call would bypass multi-point batching and
 // retry accounting, silently corrupting both the query and the round
 // counts the paper's Table 1 and the BENCH series report. Test files are
 // exempt (they drive fakes and the oracle directly), as is planner.go

@@ -68,24 +68,31 @@ func (a *AttentionReLU) scaleA() float64 { return 1 / math.Sqrt(float64(a.Dh)) }
 func (a *AttentionReLU) scaleB() float64 { return 1 / float64(a.T) }
 
 // forwardOne computes the block for one flat example x into y and returns
-// the intermediates for reuse by JVP. The returned matrices come from the
-// workspace pool — the caller releases them with tensor.PutMatrix.
-func (a *AttentionReLU) forwardOne(y, x []float64) (q, k, v, s, o *tensor.Matrix, mask []bool) {
+// the intermediates JVP reuses; a non-nil mask receives the scores'
+// activity pattern. x and y are staged through pooled T×D matrices, so a
+// steady-state call allocates nothing, and the copies leave every value
+// bit-identical. The returned matrices come from the workspace pool — the
+// caller releases them with tensor.PutMatrix.
+func (a *AttentionReLU) forwardOne(y, x []float64, mask []bool) (q, k, v, s, o *tensor.Matrix) {
+	xm := tensor.GetMatrix(a.T, a.D)
+	copy(xm.Data, x)
+	ym := tensor.GetMatrix(a.T, a.D)
 	q = tensor.GetMatrix(a.T, a.Dh)
 	k = tensor.GetMatrix(a.T, a.Dh)
 	v = tensor.GetMatrix(a.T, a.Dh)
 	u := tensor.GetMatrix(a.T, a.T)
 	s = tensor.GetMatrix(a.T, a.T)
 	o = tensor.GetMatrix(a.T, a.Dh)
-	mask = make([]bool, a.T*a.T)
-	a.forwardInto(tensor.FromSlice(a.T, a.D, x), q, k, v, u, s, o, tensor.FromSlice(a.T, a.D, y), mask)
-	tensor.PutMatrix(u)
-	return q, k, v, s, o, mask
+	a.forwardInto(xm, q, k, v, u, s, o, ym, mask)
+	copy(y, ym.Data)
+	tensor.PutMatrix(xm, ym, u)
+	return q, k, v, s, o
 }
 
 // forwardInto computes the block for one example into caller buffers: the
-// projections q, k, v, the scores u (scratch) and s = φ(u)/T with their
-// activity mask, o = S·V, and the output ym. Every element is assigned.
+// projections q, k, v, the scores u (scratch) and s = φ(u)/T, o = S·V, and
+// the output ym; every element is assigned. A non-nil mask receives the
+// scores' activity pattern.
 func (a *AttentionReLU) forwardInto(xm, q, k, v, u, s, o, ym *tensor.Matrix, mask []bool) {
 	tensor.MatMulInto(q, xm, a.Wq.W)
 	tensor.MatMulInto(k, xm, a.Wk.W)
@@ -95,21 +102,23 @@ func (a *AttentionReLU) forwardInto(xm, q, k, v, u, s, o, ym *tensor.Matrix, mas
 	b := a.scaleB()
 	for i, uv := range u.Data {
 		if uv > 0 {
-			mask[i] = true
 			s.Data[i] = uv * b
 		} else {
-			mask[i] = false
 			s.Data[i] = 0
+		}
+		if mask != nil {
+			mask[i] = uv > 0
 		}
 	}
 	tensor.MatMulInto(o, s, v)
 	tensor.MatMulInto(ym, o, a.Wo.W)
 }
 
-// Forward computes attention for one flat example.
+// Forward computes attention for one flat example; only JVP needs the
+// activity mask.
 func (a *AttentionReLU) Forward(y, x []float64, _ *Trace) {
 	checkSize("attention_relu", a.InSize(), len(x))
-	q, k, v, s, o, _ := a.forwardOne(y, x)
+	q, k, v, s, o := a.forwardOne(y, x, nil)
 	tensor.PutMatrix(q, k, v, s, o)
 }
 
@@ -232,7 +241,8 @@ func (a *AttentionReLU) Backward(dy *tensor.Matrix) *tensor.Matrix {
 // transpose so every inner product streams contiguous rows.
 func (a *AttentionReLU) JVP(x []float64, j *tensor.Matrix, _ *JVPTrace) ([]float64, *tensor.Matrix) {
 	y := make([]float64, a.OutSize())
-	q, k, v, s, o, mask := a.forwardOne(y, x)
+	mask := make([]bool, a.T*a.T)
+	q, k, v, s, o := a.forwardOne(y, x, mask)
 	sa, sb := a.scaleA(), a.scaleB()
 	p := j.Cols
 	jT := tensor.GetMatrix(p, a.InSize())

@@ -89,6 +89,7 @@ func TestForwardAllocBound(t *testing.T) {
 		{"mlp", models.TinyMLP},
 		{"lenet", models.TinyLeNet},
 		{"resnet", models.TinyResNet},
+		{"vtransformer", models.TinyVTransformer},
 	}
 	const runs = 100
 	for _, b := range builds {

@@ -100,11 +100,11 @@ head -n 1 "$TRACE_TMP/farm.csv" | grep -q '^model,key_bits,mix,devices' || {
 
 # Daemon smoke (DESIGN.md §17, OPERATIONS.md): dnnlockd must accept an MLP
 # 4-bit job over its HTTP API, run it to completion, and report exactly the
-# query count a direct `dnnlock table1` run of the same cell reports — the
-# service layer may never change the attack's numbers. The job's span
-# trace must pass the same `trace -check` as the Table-1 trace above. The
-# TERM at the end also exercises graceful drain: the daemon must exit
-# cleanly.
+# query and round counts a direct `dnnlock table1` run of the same cell
+# reports — the service layer may never change the attack's numbers. The
+# job's span trace must pass the same `trace -check` as the Table-1 trace
+# above. The TERM at the end also exercises graceful drain: the daemon must
+# exit cleanly.
 echo "==> daemon smoke (dnnlockd: submit -> poll -> parity with table1 -> job trace -check)"
 go build -o "$TRACE_TMP/dnnlockd" ./cmd/dnnlockd
 "$TRACE_TMP/dnnlockd" -addr 127.0.0.1:0 -workers 1 \
@@ -133,12 +133,20 @@ done
 	echo "daemon smoke: job ended in state '$STATE': $VIEW" >&2
 	exit 1
 }
+# A completed job's progress is set from its result, so the first match of
+# each counter is the final count.
 DAEMON_Q="$(printf '%s' "$VIEW" | sed -n 's/.*"queries": \([0-9][0-9]*\).*/\1/p' | head -n 1)"
+DAEMON_R="$(printf '%s' "$VIEW" | sed -n 's/.*"rounds": \([0-9][0-9]*\).*/\1/p' | head -n 1)"
 "$TRACE_TMP/dnnlock" table1 -model mlp -keysizes 4 -scale tiny \
 	-csv "$TRACE_TMP/t1.csv" > /dev/null
 DIRECT_Q="$(awk -F, 'NR==2{print $13}' "$TRACE_TMP/t1.csv")"
+DIRECT_R="$(awk -F, 'NR==2{print $14}' "$TRACE_TMP/t1.csv")"
 if [ -z "$DAEMON_Q" ] || [ "$DAEMON_Q" != "$DIRECT_Q" ]; then
 	echo "daemon smoke: dec_queries mismatch: daemon=$DAEMON_Q direct=$DIRECT_Q" >&2
+	exit 1
+fi
+if [ -z "$DAEMON_R" ] || [ "$DAEMON_R" != "$DIRECT_R" ]; then
+	echo "daemon smoke: dec_rounds mismatch: daemon=$DAEMON_R direct=$DIRECT_R" >&2
 	exit 1
 fi
 curl -fsS "http://$ADDR/jobs/$JOB_ID/trace" > "$TRACE_TMP/job.jsonl"
