@@ -63,12 +63,11 @@ func BenchmarkTable1VTransformer(b *testing.B) { benchCell(b, "vtransformer", 4)
 // benchFarm prices one farm sweep point per architecture: the tiny-scale
 // decryption attack over a 1000-device mixed fleet behind a 20ms / 10Mbit /
 // 1%-loss channel, reporting the predicted attack wall-clock on the
-// simulated channel as farm_wallclock_s. Workers=1 keeps the attack's round
-// ordering serial, so the virtual-clock horizon is exactly reproducible run
-// to run and bench_compare can gate it like oracle_rounds.
+// simulated channel as farm_wallclock_s. A farm cell runs one attack
+// worker, so the virtual-clock horizon is exactly reproducible run to run
+// and bench_compare can gate it like oracle_rounds.
 func benchFarm(b *testing.B, model string, bits int) {
 	sc := harness.TinyScale()
-	sc.AttackCfg.Workers = 1
 	sw := harness.FarmSweep{
 		Devices:    1000,
 		RTTs:       []time.Duration{20 * time.Millisecond},
@@ -173,9 +172,6 @@ func BenchmarkKeySizeScalingMLP12(b *testing.B) { benchDecrypt(b, "mlp", 12, nil
 func BenchmarkAblationDefault(b *testing.B) { benchDecrypt(b, "mlp", 8, nil) }
 func BenchmarkAblationNoAlgebraic(b *testing.B) {
 	benchDecrypt(b, "mlp", 8, func(c *core.Config) { c.DisableAlgebraic = true })
-}
-func BenchmarkAblationJVPOnly(b *testing.B) {
-	benchDecrypt(b, "mlp", 8, func(c *core.Config) { c.UseProductMatrix = false })
 }
 func BenchmarkAblationSerial(b *testing.B) {
 	benchDecrypt(b, "mlp", 8, func(c *core.Config) { c.Workers = 1 })

@@ -1,15 +1,16 @@
 // Geometry demo: the quantitative companion to the paper's Figure 2. It
 // builds a small 2-input ReLU network, prints activation patterns (Figure
 // 2(a)), rasterizes the linear regions its hyperplanes cut the plane into
-// (Figure 2(b)), finds a hyperplane witness with the attack's
-// critical-point search, and verifies the region-local affine map of
-// Formulas 2–4.
+// (Figure 2(b)), verifies the region-local affine map of Formulas 2–4, and
+// finds a hyperplane witness with the attack's critical-point search. It
+// exits 1 if the affine map mispredicts the network inside its region.
 package main
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 
 	"dnnlock/internal/geometry"
 	"dnnlock/internal/nn"
@@ -68,16 +69,34 @@ func main() {
 		fmt.Println(string(line))
 	}
 
-	// Every region is one affine map (§3.2): verify Formulas 2–4 at x.
-	m, err := geometry.RegionAffineMap(net, tr)
-	if err != nil {
-		panic(err)
+	// Every region is one affine map (§3.2): f(z) = A·z + b, where A is the
+	// network's exact Jacobian in the region (Formulas 2–4) and b = f(x) −
+	// A·x. At x that holds by construction, so check it at a second point
+	// of the same region.
+	y, jac := net.OutputJacobian(x)
+	a1, a2 := jac.At(0, 0), jac.At(0, 1)
+	tensor.PutMatrix(jac)
+	b0 := y[0] - (a1*x[0] + a2*x[1])
+	fmt.Printf("\nregion affine map: f(x) = %.4f·x1 + %.4f·x2 + %.4f\n", a1, a2, b0)
+	region := geometry.PatternKey(tr.Patterns)
+	var x2 []float64
+	for step := 0.1; step > 1e-6; step /= 2 {
+		if p := []float64{x[0] + step, x[1] - step}; geometry.PatternKey(net.ForwardTrace(p).Patterns) == region {
+			x2 = p
+			break
+		}
 	}
-	pred := m.Apply(x)[0]
-	fmt.Printf("\nregion affine map: f(x) = %.4f·x1 + %.4f·x2 + %.4f\n",
-		m.A.At(0, 0), m.A.At(0, 1), m.B[0])
-	fmt.Printf("affine prediction %.6f vs network %.6f (diff %.1e)\n",
-		pred, tr.Out[0], math.Abs(pred-tr.Out[0]))
+	if x2 == nil {
+		fmt.Println("no second point found in the region of x")
+		os.Exit(1)
+	}
+	pred, got := a1*x2[0]+a2*x2[1]+b0, net.Forward(x2)[0]
+	fmt.Printf("at x' = (%.4f, %.4f) in the same region: affine prediction %.6f vs network %.6f (diff %.1e)\n",
+		x2[0], x2[1], pred, got, math.Abs(pred-got))
+	if math.Abs(pred-got) > 1e-9 {
+		fmt.Println("affine map mispredicts the network inside its region")
+		os.Exit(1)
+	}
 
 	// A hyperplane witness for neuron η_{1,0}, in the spirit of §3.5:
 	// bisect a random segment until the pre-activation crosses zero.

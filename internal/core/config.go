@@ -120,9 +120,6 @@ type Config struct {
 	Workers int
 	// Seed drives all attack randomness.
 	Seed int64
-	// UseProductMatrix enables the Formulas 2–3 fast path on sequential
-	// piecewise-linear networks; the exact JVP is used otherwise.
-	UseProductMatrix bool
 	// DisableAlgebraic turns key_bit_inference off entirely (ablation).
 	DisableAlgebraic bool
 
@@ -196,9 +193,8 @@ func DefaultConfig() Config {
 		// Honors the DNNLOCK_PROCS override like the tensor runtime, so one
 		// variable bounds every fan-out: kernels, attack procedures,
 		// error-correction candidates, and the harness's Table 1 cells.
-		Workers:          tensor.Parallelism(),
-		Seed:             1,
-		UseProductMatrix: true,
+		Workers: tensor.Parallelism(),
+		Seed:    1,
 	}
 }
 

@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 
-	"dnnlock/internal/geometry"
-	"dnnlock/internal/nn"
 	"dnnlock/internal/obs"
 	"dnnlock/internal/tensor"
 )
@@ -79,39 +77,11 @@ func (a *Attack) keyBitInferenceSpanned(bsp *obs.Span, bitIdx int, rng *rand.Ran
 	return bitBottom, nil
 }
 
-// productMatrixOf adapts geometry.ProductMatrix to return the bare matrix.
-func productMatrixOf(net *nn.Network, tr *nn.Trace, site int) (*tensor.Matrix, error) {
-	m, err := geometry.ProductMatrix(net, tr, site)
-	if err != nil {
-		return nil, err
-	}
-	return m.A, nil
-}
-
-// productMatrixAtReLUOf is productMatrixOf for a ReLU-input target.
-func productMatrixAtReLUOf(net *nn.Network, tr *nn.Trace, reluSite int) (*tensor.Matrix, error) {
-	m, err := geometry.ProductMatrixAtReLU(net, tr, reluSite)
-	if err != nil {
-		return nil, err
-	}
-	return m.A, nil
-}
-
-// preimage solves Â^(site)·v = e_idx at x0 and checks the residual. The
-// product-matrix path is tried only on networks it can fold; others go
-// straight to the JVP.
+// preimage solves Â^(site)·v = e_idx at x0 and checks the residual. Â is
+// the exact Jacobian of the unsigned pre-activation (Formulas 2–3 on a
+// sequential MLP, §4.1's built-in Jacobian on any other topology).
 func (a *Attack) preimage(x0 []float64, site, idx int) ([]float64, bool) {
-	var aHat *tensor.Matrix
-	if a.cfg.UseProductMatrix && geometry.FoldsToSite(a.white, site) {
-		tr := a.white.ForwardTraceTo(x0, site)
-		if m, err := productMatrixOf(a.white, tr, site); err == nil {
-			aHat = m
-		}
-	}
-	if aHat == nil {
-		_, j := a.white.PreActJacobian(x0, site)
-		aHat = j
-	}
+	_, aHat := a.white.PreActJacobian(x0, site)
 	e := tensor.Basis(aHat.Rows, idx)
 	res := tensor.LeastSquares(aHat, e)
 	tensor.PutMatrix(aHat) // the solution does not alias Â

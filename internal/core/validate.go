@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"sort"
 
-	"dnnlock/internal/geometry"
 	"dnnlock/internal/hpnn"
 	"dnnlock/internal/nn"
 	"dnnlock/internal/obs"
@@ -324,17 +323,7 @@ func (a *Attack) ownHyperplaneMoves() bool {
 // input space (so few unrelated hyperplanes are crossed). Â goes back to
 // the workspace pool on return; every returned direction is a fresh slice.
 func (a *Attack) voteDirection(net *nn.Network, x0 []float64, reluSite, j int, rng *rand.Rand) []float64 {
-	var aHat *tensor.Matrix
-	if a.cfg.UseProductMatrix && geometry.FoldsToReLU(net, reluSite) {
-		tr := net.ForwardTraceToReLU(x0, reluSite)
-		if m, err := productMatrixAtReLUOf(net, tr, reluSite); err == nil {
-			aHat = m
-		}
-	}
-	if aHat == nil {
-		_, jac := net.ReluInJacobian(x0, reluSite)
-		aHat = jac
-	}
+	_, aHat := net.ReluInJacobian(x0, reluSite)
 	defer tensor.PutMatrix(aHat)
 	width := net.ReLUs()[reluSite].N
 	if width <= len(x0) {

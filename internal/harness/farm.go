@@ -153,6 +153,11 @@ func (p *pipeline) runFarmCell(mix farm.Mix, devices int, ch farm.Channel, w io.
 	})
 	cfg := p.sc.AttackCfg
 	cfg.Seed = p.sc.Seed + 2 // same seed as the Table 1 decryption cell
+	// One attack worker sends the rounds in one order, so the simulated
+	// wall-clock is one number: with parallel workers the transport issues
+	// each round at whichever causal frontier reaches it first, and the
+	// horizon depends on goroutine scheduling.
+	cfg.Workers = 1
 	// Declare the worst degradation any device in the mix applies, exactly
 	// as the robustness sweep declares its per-cell fault (DESIGN.md §11).
 	if step := mix.MaxQuantStep(); step > 0 {

@@ -67,24 +67,30 @@ func TestFarmZeroChannelIsPassThrough(t *testing.T) {
 
 // TestRunFarmSmallFleet runs one nontrivial sweep point end to end on a
 // small fleet: full fidelity, a positive virtual-clock horizon, and rounds
-// no fewer than the direct run (channel loss only adds rounds).
+// no fewer than the direct run (channel loss only adds rounds). It sweeps
+// the point twice: the simulated wall-clock, rounds and losses are one
+// number, the same on every run at any worker count.
 func TestRunFarmSmallFleet(t *testing.T) {
 	sc := TinyScale()
 	sw := FarmSweep{
 		Devices:    64,
 		RTTs:       []time.Duration{5 * time.Millisecond},
 		Bandwidths: []float64{1.25e6},
-		Losses:     []float64{0.005},
+		Losses:     []float64{0.005, 0.005},
 		MixNames:   []string{"mixed"},
 	}
 	rows, err := RunFarm(sc, "mlp", 6, sw, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 1 {
-		t.Fatalf("got %d rows, want 1", len(rows))
+	if len(rows) != 2 {
+		t.Fatalf("got %d rows, want 2", len(rows))
 	}
-	r := rows[0]
+	r, again := rows[0], rows[1]
+	if again.SimSeconds != r.SimSeconds || again.Rounds != r.Rounds || again.Lost != r.Lost {
+		t.Fatalf("same point swept twice: %v s / %d rounds / %d lost, then %v s / %d rounds / %d lost",
+			r.SimSeconds, r.Rounds, r.Lost, again.SimSeconds, again.Rounds, again.Lost)
+	}
 	if r.Err != nil {
 		t.Fatalf("sweep point errored: %v", r.Err)
 	}

@@ -193,12 +193,12 @@ func softenEnds(net *nn.Network, rng *rand.Rand) {
 // forwardEntries pins every forward pass the attack runs, on the four tiny
 // models under each of forwardLocks with seeds 1–3, at four random points
 // per network: the logits, the full trace, the traces stopped at each flip
-// and ReLU site, PostAt and ReluInAt at every index of every site,
+// site, PostAt and ReluInAt at every index of every site,
 // ForwardBatch over the points, and PrefixForward of the points at every
 // split. One SHA-256 covers one (model, lock, seed, kind).
 func forwardEntries() []jacobianEntry {
 	const points = 4
-	kinds := []string{"forward", "trace", "trace_to", "trace_to_relu", "post_at", "relu_in_at", "forward_batch", "prefix_forward"}
+	kinds := []string{"forward", "trace", "trace_to", "post_at", "relu_in_at", "forward_batch", "prefix_forward"}
 	var out []jacobianEntry
 	for _, b := range tinyBuilds {
 		for _, lock := range forwardLocks {
@@ -225,9 +225,6 @@ func forwardEntries() []jacobianEntry {
 					ds["trace"].trace(net.ForwardTrace(x))
 					for s := 0; s < net.NumFlipSites(); s++ {
 						ds["trace_to"].trace(net.ForwardTraceTo(x, s))
-					}
-					for r := range net.ReLUs() {
-						ds["trace_to_relu"].trace(net.ForwardTraceToReLU(x, r))
 					}
 					for s, f := range net.Flips() {
 						for i := 0; i < f.N; i++ {

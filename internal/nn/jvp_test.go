@@ -128,24 +128,3 @@ func TestJVPFlipAndPreActJacobian(t *testing.T) {
 		}
 	}
 }
-
-func TestOutputJacobianMatchesProductMatrixOnMLP(t *testing.T) {
-	// For a pure MLP within a linear region, dy/dx must equal the chain of
-	// masked weight matrices (paper Formulas 2–3 extended to the output).
-	rng := rand.New(rand.NewSource(27))
-	d1 := NewDense(4, 6).InitHe(rng)
-	d2 := NewDense(6, 5).InitHe(rng)
-	d3 := NewDense(5, 3).InitHe(rng)
-	net := NewNetwork(d1, NewReLU(6), d2, NewReLU(5), d3)
-	x := randBatch(rng, 1, 4).Row(0)
-
-	tr := net.ForwardTrace(x)
-	w1 := d1.W.W.Clone().MaskRows(tr.Patterns[0])
-	w2 := tensor.MatMul(d2.W.W, w1).MaskRows(tr.Patterns[1])
-	want := tensor.MatMul(d3.W.W, w2)
-	_, got := net.OutputJacobian(x)
-	defer tensor.PutMatrix(got)
-	if !tensor.Equal(got, want, 1e-10) {
-		t.Fatal("output Jacobian does not match the masked weight product")
-	}
-}

@@ -116,15 +116,6 @@ func (n *Network) ForwardTraceTo(x []float64, site int) *Trace {
 	return tr
 }
 
-// ForwardTraceToReLU is ForwardTraceTo for a ReLU site.
-func (n *Network) ForwardTraceToReLU(x []float64, reluSite int) *Trace {
-	tr := n.newTrace()
-	n.forwardTrace(x, tr, func() bool {
-		return reluSite >= 0 && reluSite < len(tr.ReluIn) && tr.ReluIn[reluSite] != nil
-	})
-	return tr
-}
-
 // PostAt returns the post-flip value of element idx at flip site `site` —
 // the scalar the §3.5 critical-point bisection reads. It computes exactly
 // the values of ForwardTraceTo but records nothing and stops as soon as the

@@ -55,27 +55,6 @@ func TestSiteLayoutResidualSequences(t *testing.T) {
 	}
 }
 
-func TestForwardTraceToReLUStopsEarly(t *testing.T) {
-	rng := rand.New(rand.NewSource(53))
-	net := NewNetwork(
-		NewDense(4, 5).InitHe(rng), NewFlip(5), NewReLU(5),
-		NewDense(5, 3).InitHe(rng), NewFlip(3), NewReLU(3),
-		NewDense(3, 2).InitHe(rng),
-	)
-	x := randBatch(rng, 1, 4).Row(0)
-	tr := net.ForwardTraceToReLU(x, 0)
-	if tr.ReluIn[0] == nil {
-		t.Fatal("relu 0 input not recorded")
-	}
-	if tr.ReluIn[1] != nil || tr.Out != nil {
-		t.Fatal("trace did not stop early")
-	}
-	full := net.ForwardTraceToReLU(x, 1)
-	if full.ReluIn[1] == nil {
-		t.Fatal("relu 1 input not recorded")
-	}
-}
-
 func TestReluInJacobianMatchesFD(t *testing.T) {
 	rng := rand.New(rand.NewSource(54))
 	conv := NewConv2D(1, 6, 6, 2, 3, 1, 0).InitHe(rng)
@@ -90,12 +69,12 @@ func TestReluInJacobianMatchesFD(t *testing.T) {
 		u, j := net.ReluInJacobian(x, site)
 		defer tensor.PutMatrix(j)
 		fd := fdJacobian(func(xx []float64) []float64 {
-			return net.ForwardTraceToReLU(xx, site).ReluIn[site]
+			return net.ForwardTrace(xx).ReluIn[site]
 		}, x, 1e-6)
 		if !tensor.Equal(j, fd, 1e-4) {
 			t.Fatalf("relu %d Jacobian mismatch", site)
 		}
-		ref := net.ForwardTraceToReLU(x, site).ReluIn[site]
+		ref := net.ForwardTrace(x).ReluIn[site]
 		for i := range u {
 			if math.Abs(u[i]-ref[i]) > 1e-12 {
 				t.Fatal("relu input value mismatch")

@@ -1,6 +1,12 @@
 package tensor
 
-import "math"
+import (
+	"errors"
+	"math"
+)
+
+// ErrSingular is returned when a factorization meets a (numerically) singular matrix.
+var ErrSingular = errors.New("tensor: matrix is singular to working precision")
 
 // Cholesky holds the lower-triangular factor L of a symmetric positive
 // definite matrix: A = L·Lᵀ.

@@ -7,71 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestLUSolveKnown(t *testing.T) {
-	a := FromSlice(2, 2, []float64{2, 1, 1, 3})
-	x, err := SolveLinear(a, []float64{5, 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 2x+y=5, x+3y=10 -> x=1, y=3.
-	if math.Abs(x[0]-1) > 1e-12 || math.Abs(x[1]-3) > 1e-12 {
-		t.Fatalf("solution = %v", x)
-	}
-}
-
-func TestLUSolveProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		n := 1 + r.Intn(10)
-		a := randMat(r, n, n)
-		want := randVec(r, n)
-		b := MatVec(a, want)
-		got, err := SolveLinear(a, b)
-		if err != nil {
-			return true // singular random draw: nothing to check
-		}
-		for i := range got {
-			if math.Abs(got[i]-want[i]) > 1e-6*(1+math.Abs(want[i])) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestLUSingular(t *testing.T) {
-	a := FromSlice(2, 2, []float64{1, 2, 2, 4})
-	if _, err := LUDecompose(a); err == nil {
-		t.Fatal("expected ErrSingular for a rank-1 matrix")
-	}
-}
-
-func TestLUDet(t *testing.T) {
-	a := FromSlice(2, 2, []float64{3, 1, 4, 2})
-	f, err := LUDecompose(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(f.Det()-2) > 1e-12 {
-		t.Fatalf("Det = %v, want 2", f.Det())
-	}
-}
-
-func TestInverse(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := randMat(rng, 5, 5)
-	inv, err := Inverse(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !Equal(MatMul(a, inv), Identity(5), 1e-8) {
-		t.Fatal("A·A⁻¹ != I")
-	}
-}
-
 func TestCholeskySolve(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))

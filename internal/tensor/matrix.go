@@ -1,6 +1,6 @@
 // Package tensor provides the dense linear algebra substrate used by the
 // network framework and the attack: row-major matrices, basic BLAS-like
-// operations, and the decompositions (LU, Cholesky, QR, SVD) behind the
+// operations, and the decompositions (Cholesky, QR, SVD) behind the
 // minimum-norm least-squares solver of Algorithm 1. Every element is a
 // float64: the attack is defined in exact IEEE double arithmetic, and the
 // kernels fix each result's accumulation order, so values are bit-identical

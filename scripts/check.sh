@@ -98,6 +98,19 @@ head -n 1 "$TRACE_TMP/farm.csv" | grep -q '^model,key_bits,mix,devices' || {
 	exit 1
 }
 
+# Examples smoke: the runnable companions must still run. geometry exits 1
+# if the JVP's region-local affine map (Formulas 2–4) mispredicts the
+# network at a second point of the region; quickstart must recover the
+# whole planted key.
+echo "==> examples smoke (geometry affine map, quickstart key extraction)"
+go run ./examples/geometry > /dev/null
+go run ./examples/quickstart > "$TRACE_TMP/quickstart.out"
+grep -q "HPNN key fully extracted" "$TRACE_TMP/quickstart.out" || {
+	echo "examples smoke: quickstart did not extract the key:" >&2
+	cat "$TRACE_TMP/quickstart.out" >&2
+	exit 1
+}
+
 # Daemon smoke (DESIGN.md §17, OPERATIONS.md): dnnlockd must accept an MLP
 # 4-bit job over its HTTP API, run it to completion, and report exactly the
 # query and round counts a direct `dnnlock table1` run of the same cell
